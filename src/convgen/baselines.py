@@ -4,12 +4,13 @@ interpolation, and an adapter for pre-generated synthetic CSV files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
 from .data import DataError, ScaleInfo, compute_alpha, scale, unscale
+from .neighborhood import ranked_neighbors
 
 
 def repeater_sample(minority: np.ndarray, n_synthetic: int) -> np.ndarray:
@@ -35,9 +36,7 @@ def interpolation_sample(minority: np.ndarray, k: int, n_synthetic: int,
     if k < 1:
         raise DataError("k must be >= 1")
     k = min(k, len(minority) - 1)
-    d2 = ((minority[:, None, :] - minority[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    neighbor_lists = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    neighbor_lists = ranked_neighbors(minority, k + 1)[:, 1:]
 
     samples = np.empty((n_synthetic, minority.shape[1]))
     pairs = np.empty((n_synthetic, 2), dtype=int)

@@ -16,7 +16,8 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -129,14 +130,13 @@ class BenchmarkConfig:
         }
 
 
+@dataclass
 class FoldResult:
     """Everything produced while oversampling one training fold."""
 
-    def __init__(self, synthetic: np.ndarray, provenance: np.ndarray | None,
-                 doc_factory=None) -> None:
-        self.synthetic = synthetic
-        self.provenance = provenance  # original-dataset row ids, or None
-        self.doc_factory = doc_factory
+    synthetic: np.ndarray
+    provenance: np.ndarray | None  # original-dataset row ids, or None
+    doc_factory: object = None  # () -> retrained-discriminator classifier
 
 
 def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray,
@@ -172,24 +172,11 @@ def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray
         return FoldResult(gan.generate(n_synthetic), minority_ids.copy())
 
     if spec.kind == "convgen":
-        preset = spec.params.get("preset")
-        if preset:
-            cfg = ConvGeNConfig.preset(preset, seed=seed)
-        else:
-            cfg = ConvGeNConfig(
-                neb=spec.params.get("neb", "min"),
-                maj_proximal=bool(spec.params.get("maj_proximal", False)),
-                seed=seed,
-            )
-        cfg = ConvGeNConfig(
-            neb=cfg.neb,
-            disc_train_count=int(spec.params.get("disc_train_count", cfg.disc_train_count)),
-            neb_epochs=int(spec.params.get("neb_epochs", cfg.neb_epochs)),
-            maj_proximal=cfg.maj_proximal,
-            k_prime=spec.params.get("k_prime", cfg.k_prime),
-            seed=seed,
-        )
-        model = ConvGeNModel(cfg).fit(train)
+        params = dict(spec.params)
+        preset = params.pop("preset", None)
+        base = ConvGeNConfig.preset(preset) if preset else ConvGeNConfig()
+        # an unknown key raises a TypeError that names it
+        model = ConvGeNModel(replace(base, seed=seed, **params)).fit(train)
         batches = model.generate(n_synthetic)
         if batches:
             synthetic = np.vstack([b.samples for b in batches])
@@ -336,15 +323,8 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1,
         for shuffle in range(cfg.n_shuffles)
     ]
     results = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(_run_unit, units):
-                results.append(res)
-                if progress:
-                    progress(res)
-    else:
-        for unit in units:
-            res = _run_unit(unit)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for res in (pool.map if pool else map)(_run_unit, units):
             results.append(res)
             if progress:
                 progress(res)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import DataError
+from .neighborhood import ranked_neighbors
 
 
 def _check_two_classes(labels: np.ndarray) -> None:
@@ -43,15 +44,10 @@ class KNNClassifier:
         q = np.asarray(features, dtype=np.float64)
         if q.shape[1] != self._x.shape[1]:
             raise DataError(f"feature width {q.shape[1]} != fitted {self._x.shape[1]}")
-        k = min(self.k, len(self._x))
-        out = np.empty(len(q), dtype=int)
-        for i, row in enumerate(q):
-            d2 = ((self._x - row) ** 2).sum(axis=1)
-            nearest = np.argsort(d2, kind="stable")[:k]
-            votes = int(self._y[nearest].sum())
-            # strict majority of minority votes required; ties go to class 0
-            out[i] = 1 if 2 * votes > k else 0
-        return out
+        ranked = ranked_neighbors(q, self.k, self._x)
+        votes = self._y[ranked].sum(axis=1)
+        # strict majority of minority votes required; ties go to class 0
+        return (2 * votes > ranked.shape[1]).astype(int)
 
 
 class LogisticRegressionClassifier:

@@ -13,7 +13,7 @@ through the frozen discriminator with an MSE objective on the labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class ConvGeNConfig:
         return min(self.neb, minority_count)
 
     @staticmethod
-    def preset(name: str, seed: int = 0) -> "ConvGeNConfig":
+    def preset(name: str) -> "ConvGeNConfig":
         """The four named settings: (5|min, maj|prox)."""
         table = {
             "5,maj": (5, False),
@@ -71,7 +71,7 @@ class ConvGeNConfig:
         if name not in table:
             raise DataError(f"unknown preset {name!r}; choose from {sorted(table)}")
         neb, prox = table[name]
-        return ConvGeNConfig(neb=neb, maj_proximal=prox, seed=seed)
+        return ConvGeNConfig(neb=neb, maj_proximal=prox)
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,7 @@ class Generator:
                 nn.Conv1D(neb, k_prime, n_features, "identity", rng),
                 nn.Flatten(),
                 nn.Dense(k_prime * n_features, neb * self.gen, "identity", rng),
-            ],
-            seed=seed,
+            ]
         )
         self._logits = None
         self._k = None
@@ -345,14 +344,7 @@ class ConvGeNModel:
         self._require_fitted()
         payload = {
             "format": "convgen-checkpoint-v1",
-            "config": {
-                "neb": self.config.neb,
-                "disc_train_count": self.config.disc_train_count,
-                "neb_epochs": self.config.neb_epochs,
-                "maj_proximal": self.config.maj_proximal,
-                "k_prime": self.generator.k_prime,
-                "seed": self.config.seed,
-            },
+            "config": {**asdict(self.config), "k_prime": self.generator.k_prime},
             "resolved_neb": self._neb,
             "n_features": self.dataset.n_features,
             "generator": _dump_network(self.generator.net),
@@ -368,18 +360,7 @@ class ConvGeNModel:
             payload = json.load(fh)
         if payload.get("format") != "convgen-checkpoint-v1":
             raise DataError(f"{path}: not a recognized checkpoint")
-        cfg = payload["config"]
-        neb = cfg["neb"]
-        model = ConvGeNModel(
-            ConvGeNConfig(
-                neb=neb if neb == "min" else int(neb),
-                disc_train_count=cfg["disc_train_count"],
-                neb_epochs=cfg["neb_epochs"],
-                maj_proximal=cfg["maj_proximal"],
-                k_prime=cfg["k_prime"],
-                seed=cfg["seed"],
-            )
-        )
+        model = ConvGeNModel(ConvGeNConfig(**payload["config"]))
         model._setup(dataset)
         if model._neb != payload["resolved_neb"] or dataset.n_features != payload["n_features"]:
             raise DataError(f"{path}: checkpoint does not match this dataset")

@@ -2,7 +2,7 @@
 
 Rankings sort by (distance, sample index) so results are deterministic on
 every platform. Sizes here are small (a few thousand rows), so plain
-brute-force distance matrices are both fast enough and exact.
+brute-force distances are both fast enough and exact.
 """
 
 from __future__ import annotations
@@ -21,15 +21,24 @@ class NeighborhoodIndex:
     neb: int
     minority_indices: np.ndarray          # (n_min,) dataset row ids
     neighbors: np.ndarray                 # (n_min, neb) positions into minority_indices
-    metric: str = "euclidean"
 
 
-def _ranked_neighbors(queries: np.ndarray, pool: np.ndarray, k: int) -> np.ndarray:
-    """(n_queries, k) positions of the k nearest pool rows, ties by index."""
-    d2 = ((queries[:, None, :] - pool[None, :, :]) ** 2).sum(axis=2)
-    # lexsort on (index, distance): distance is the primary key
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+def ranked_neighbors(queries: np.ndarray, k: int, pool: np.ndarray | None = None) -> np.ndarray:
+    """(n_queries, min(k, n_pool)) positions of the nearest pool rows, ties by index.
+
+    `pool=None` ranks the queries against themselves; each row then comes
+    first in its own list, even among duplicate rows.
+    """
+    self_query = pool is None
+    if self_query:
+        pool = queries
+    out = np.empty((len(queries), min(k, len(pool))), dtype=np.intp)
+    for i, row in enumerate(queries):
+        d2 = ((pool - row) ** 2).sum(axis=1)
+        if self_query:
+            d2[i] = -1.0
+        out[i] = np.argsort(d2, kind="stable")[:k]
+    return out
 
 
 def knn_minority(dataset: Dataset, neb: int) -> NeighborhoodIndex:
@@ -37,31 +46,14 @@ def knn_minority(dataset: Dataset, neb: int) -> NeighborhoodIndex:
     minority = dataset.minority_indices
     if neb < 2 and len(minority) >= 2:
         raise DataError("neb must be >= 2")
-    k = min(neb, len(minority))
-    points = dataset.features[minority]
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    # each point is its own nearest neighbor, even among duplicate rows
-    np.fill_diagonal(d2, -1.0)
-    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return NeighborhoodIndex(neb=k, minority_indices=minority, neighbors=neighbors)
-
-
-def proximal_majority(dataset: Dataset, neb: int) -> np.ndarray:
-    """Union over minority points of their `neb` nearest majority indices.
-
-    Returns sorted dataset row ids of the proximal majority set.
-    """
-    minority = dataset.features[dataset.minority_indices]
-    majority_ids = dataset.majority_indices
-    k = min(neb, len(majority_ids))
-    near = _ranked_neighbors(minority, dataset.features[majority_ids], k)
-    return np.unique(majority_ids[near.reshape(-1)])
+    neighbors = ranked_neighbors(dataset.features[minority], neb)
+    return NeighborhoodIndex(neb=neighbors.shape[1], minority_indices=minority,
+                             neighbors=neighbors)
 
 
 def majority_neighborhoods(dataset: Dataset, neb: int) -> np.ndarray:
     """(n_min, k) majority row ids nearest to each minority point."""
-    minority = dataset.features[dataset.minority_indices]
     majority_ids = dataset.majority_indices
-    k = min(neb, len(majority_ids))
-    near = _ranked_neighbors(minority, dataset.features[majority_ids], k)
+    near = ranked_neighbors(dataset.features[dataset.minority_indices], neb,
+                            dataset.features[majority_ids])
     return majority_ids[near]

@@ -16,9 +16,6 @@ import numpy as np
 
 BCE_EPS = 1e-7
 
-ACTIVATIONS = ("relu", "sigmoid", "softsign", "softmax", "identity")
-LOSSES = ("bce", "mse")
-
 
 class NNError(Exception):
     """Raised for shape/configuration/usage errors inside the engine."""
@@ -191,10 +188,8 @@ def loss_grad(kind: str, predicted: np.ndarray, target: np.ndarray) -> np.ndarra
 class Network:
     """Ordered layer stack with cached forward, backward, and Adam updates."""
 
-    def __init__(self, layers, seed: int = 0,
-                 beta1: float = 0.9, beta2: float = 0.999) -> None:
+    def __init__(self, layers, beta1: float = 0.9, beta2: float = 0.999) -> None:
         self.layers = list(layers)
-        self.seed = seed
         self.beta1 = beta1
         self.beta2 = beta2
         self._adam_t = 0
@@ -281,7 +276,7 @@ def dense_network(sizes, activations, seed: int) -> Network:
         Dense(sizes[i], sizes[i + 1], activations[i], rng)
         for i in range(len(sizes) - 1)
     ]
-    return Network(layers, seed=seed)
+    return Network(layers)
 
 
 def grad_check(net: Network, loss: str, x: np.ndarray, target: np.ndarray,

@@ -1,9 +1,9 @@
-"""Two-component PCA via power iteration with deflation.
+"""Two-component PCA from a dense eigendecomposition of the covariance.
 
 Axes are fit on the real data only (mean-centered, covariance over rows);
 synthetic rows are projected onto the same axes so both clouds share a
-coordinate system. A dense eigensolver is deliberately not used here so
-tests can cross-check against one independently.
+coordinate system. The f x f covariance is tiny, so `np.linalg.eigh` is
+exact and cheap; tests cross-check it against an SVD of the centered data.
 """
 
 from __future__ import annotations
@@ -24,45 +24,7 @@ class Projection:
     explained_fraction: np.ndarray  # (2,)
 
 
-def top_eigenpairs(matrix: np.ndarray, k: int, iterations: int = 2000,
-                   tol: float = 1e-12, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Leading k eigenpairs of a symmetric PSD matrix by power iteration.
-
-    Deflation subtracts each converged component before the next run.
-    Returns (eigenvalues (k,), eigenvectors (f, k)).
-    """
-    f = matrix.shape[0]
-    if matrix.shape != (f, f):
-        raise DataError("matrix must be square")
-    work = matrix.copy()
-    rng = np.random.default_rng(seed)
-    values = np.zeros(k)
-    vectors = np.zeros((f, k))
-    for j in range(k):
-        v = rng.standard_normal(f)
-        # keep iterates orthogonal to already-found components so deflation
-        # round-off cannot erode orthonormality
-        v -= vectors[:, :j] @ (vectors[:, :j].T @ v)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(iterations):
-            w = work @ v
-            w -= vectors[:, :j] @ (vectors[:, :j].T @ w)
-            norm = np.linalg.norm(w)
-            if norm < tol:
-                break  # remaining spectrum is (numerically) zero
-            w /= norm
-            delta = np.linalg.norm(w - v)
-            v, lam = w, norm
-            if delta < tol:
-                break
-        values[j] = lam
-        vectors[:, j] = v
-        work -= lam * np.outer(v, v)
-    return values, vectors
-
-
-def pca_project(real: np.ndarray, synthetic: np.ndarray, seed: int = 0) -> Projection:
+def pca_project(real: np.ndarray, synthetic: np.ndarray) -> Projection:
     """Project real and synthetic rows onto the real data's top-2 axes."""
     real = np.asarray(real, dtype=np.float64)
     synthetic = np.asarray(synthetic, dtype=np.float64).reshape(-1, real.shape[1]) \
@@ -77,7 +39,10 @@ def pca_project(real: np.ndarray, synthetic: np.ndarray, seed: int = 0) -> Proje
     total = float(np.trace(cov))
     if total <= 0.0:
         raise DataError("zero-variance data has no principal axes")
-    values, axes = top_eigenpairs(cov, 2, seed=seed)
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)  # ascending order
+    axes = eigenvectors[:, ::-1][:, :2]
+    # the covariance is PSD; clamp round-off below zero on rank-deficient data
+    values = np.maximum(eigenvalues[::-1][:2], 0.0)
     return Projection(
         real=centered @ axes,
         synthetic=(synthetic - mean) @ axes,

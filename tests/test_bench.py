@@ -113,6 +113,13 @@ class TestOversampleFold:
         assert set(res.provenance) <= set(train_ids)
         assert res.doc_factory is not None
 
+    def test_unknown_convgen_key_rejected(self, toy_dataset):
+        plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
+        train_ids = plan.train_indices(0, 0)
+        spec = OversamplerSpec("cg", "convgen", {"neb_epoch": 1})
+        with pytest.raises(TypeError, match="neb_epoch"):
+            oversample_fold(spec, toy_dataset.subset(train_ids), train_ids, 4, seed=3)
+
     def test_from_file_cycles_rows(self, tmp_path, toy_dataset):
         rows = np.arange(6.0).reshape(3, 2)
         path = tmp_path / "syn.csv"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convgen.data import DataError, Dataset
-from convgen.neighborhood import knn_minority, majority_neighborhoods, proximal_majority
+from convgen.neighborhood import knn_minority, majority_neighborhoods, ranked_neighbors
 
 
 def all_minority(points):
@@ -66,37 +68,76 @@ class TestKnnMinority:
 
 
 class TestProximalMajority:
-    def test_single_minority_point(self):
-        feats = np.vstack([[[0.0, 0.0]], np.arange(1, 11)[:, None] * [[1.0, 0.0]]])
-        labels = np.array([1] + [0] * 10)
-        ds = Dataset(feats, labels, "p")
-        prox = proximal_majority(ds, 3)
-        assert sorted(prox) == [1, 2, 3]
-
-    def test_saturates_to_whole_majority(self, toy_dataset):
-        prox = proximal_majority(toy_dataset, toy_dataset.majority_count + 5)
-        assert sorted(prox) == sorted(toy_dataset.majority_indices)
-
     def test_matches_brute_force_union(self, toy_dataset):
         ds = toy_dataset
         neb = 4
-        expected = set()
-        for i in ds.minority_indices:
+        near = majority_neighborhoods(ds, neb)
+        for row, i in zip(near, ds.minority_indices):
             ranked = sorted(
                 ds.majority_indices,
                 key=lambda j: (float(np.sum((ds.features[j] - ds.features[i]) ** 2)), j),
             )
-            expected.update(ranked[:neb])
-        assert set(proximal_majority(ds, neb)) == expected
-
-    def test_monotone_in_neb(self, toy_dataset):
-        previous = set()
-        for neb in range(1, 8):
-            current = set(proximal_majority(toy_dataset, neb))
-            assert previous <= current
-            previous = current
+            assert list(row) == ranked[:neb]
 
     def test_majority_neighborhood_rows_are_majority(self, toy_dataset):
         near = majority_neighborhoods(toy_dataset, 5)
         assert near.shape == (toy_dataset.minority_count, 5)
         assert set(near.reshape(-1)) <= set(toy_dataset.majority_indices)
+
+
+@st.composite
+def ranking_case(draw):
+    """Small point sets on a coarse grid (distance ties) with forced duplicates."""
+    n = draw(st.integers(1, 12))
+    f = draw(st.integers(1, 10))
+    cell = st.one_of(st.integers(-2, 2).map(float), st.floats(-5.0, 5.0, width=32))
+    points = np.array(draw(st.lists(st.lists(cell, min_size=f, max_size=f),
+                                    min_size=n, max_size=n)))
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              min_size=1, max_size=3)):
+        points[a] = points[b]
+    return points, draw(st.integers(1, n + 2))
+
+
+def oracle(queries, pool, k, self_dist=None):
+    """sorted((d2, j)) per query; self_dist replaces the query's own entry."""
+    out = []
+    for i, q in enumerate(queries):
+        keyed = []
+        for j, p in enumerate(pool):
+            d2 = float(((p - q) ** 2).sum())
+            if self_dist is not None and j == i:
+                d2 = self_dist
+            keyed.append((d2, j))
+        out.append([j for _, j in sorted(keyed)][:k])
+    return np.array(out, dtype=int).reshape(len(queries), -1)
+
+
+class TestRankedNeighbors:
+    @settings(deadline=None, max_examples=150)
+    @given(ranking_case())
+    def test_self_query_puts_self_first(self, case):
+        points, k = case
+        ranked = ranked_neighbors(points, k)
+        assert ranked.shape == (len(points), min(k, len(points)))
+        assert np.array_equal(ranked[:, 0], np.arange(len(points)))
+        assert np.array_equal(ranked, oracle(points, points, k, self_dist=-1.0))
+
+    @settings(deadline=None, max_examples=150)
+    @given(ranking_case())
+    def test_self_excluded(self, case):
+        points, k = case
+        ranked = ranked_neighbors(points, k + 1)[:, 1:]
+        # the order an inf diagonal gives, with k clamped below the row count
+        expected = oracle(points, points, min(k, len(points) - 1), self_dist=np.inf)
+        assert np.array_equal(ranked, expected)
+
+    @settings(deadline=None, max_examples=150)
+    @given(ranking_case(), st.data())
+    def test_cross_pool(self, case, data):
+        pool, k = case
+        # queries reuse pool rows so exact distance ties across the pool occur
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+        queries = pool[picks] + data.draw(st.sampled_from([0.0, 0.5]))
+        ranked = ranked_neighbors(queries, k, pool)
+        assert np.array_equal(ranked, oracle(queries, pool, k))
