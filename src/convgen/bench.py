@@ -139,6 +139,20 @@ class FoldResult:
     doc_factory: object = None  # () -> retrained-discriminator classifier
 
 
+# The keys each kind reads from its spec. ConvGeN keys are checked by
+# ConvGeNConfig itself, and an unknown kind fails on its own.
+SPEC_KEYS = {
+    "repeater": (), "interpolation": ("k",), "gan": ("epochs",), "from-file": ("path",),
+    "knn": ("k",), "logreg": (), "doc": (), "external": ("dir",),
+}
+
+
+def _check_keys(spec: OversamplerSpec | ClassifierSpec) -> None:
+    unknown = sorted(set(spec.params) - set(SPEC_KEYS.get(spec.kind, spec.params)))
+    if unknown:
+        raise DataError(f"{spec.kind} {spec.name!r}: unknown key(s) {unknown}")
+
+
 def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray,
                     n_synthetic: int, seed: int) -> FoldResult:
     """Train the configured oversampler on the fold and emit synthetic rows.
@@ -146,6 +160,7 @@ def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray
     `train_ids` maps the fold-local rows back to original dataset row ids
     so provenance can be audited against the held-out fold.
     """
+    _check_keys(spec)
     minority_rows = train.features[train.minority_indices]
     minority_ids = train_ids[train.minority_indices]
 
@@ -198,6 +213,7 @@ def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray
 
 def make_classifier(spec: ClassifierSpec, fold_result: FoldResult,
                     external_path: str | None = None):
+    _check_keys(spec)
     if spec.kind == "knn":
         return KNNClassifier(k=int(spec.params.get("k", 5)))
     if spec.kind == "logreg":

@@ -23,8 +23,6 @@ def _check_two_classes(labels: np.ndarray) -> None:
 class KNNClassifier:
     """Exact Euclidean k-nearest-neighbors with uniform majority vote, k = 5."""
 
-    kind = "knn"
-
     def __init__(self, k: int = 5) -> None:
         self.k = k
         self._x = None
@@ -56,8 +54,6 @@ class LogisticRegressionClassifier:
     Fixed, reproducible settings: lr = 0.1, 2000 iterations, L2 = 1e-4,
     early stop once the loss improves by less than 1e-9.
     """
-
-    kind = "logreg"
 
     def __init__(self, lr: float = 0.1, iterations: int = 2000,
                  l2: float = 1e-4, tol: float = 1e-9) -> None:
@@ -112,8 +108,6 @@ class LogisticRegressionClassifier:
 class DiscriminatorClassifier:
     """Wraps a retrained ConvGeN discriminator as a 2-class predictor."""
 
-    kind = "doc"
-
     def __init__(self, network) -> None:
         self.network = network
 
@@ -134,8 +128,6 @@ class ExternalPredictions:
     The file must hold one 0/1 label per line, aligned with the test-fold
     row order the harness exports.
     """
-
-    kind = "external"
 
     def __init__(self, path) -> None:
         self.path = path

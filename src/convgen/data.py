@@ -57,10 +57,9 @@ class Dataset:
     def majority_count(self) -> int:
         return int(np.sum(self.labels == 0))
 
-    def subset(self, indices, name: str | None = None) -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return Dataset(self.features[idx], self.labels[idx],
-                       self.name if name is None else name)
+        return Dataset(self.features[idx], self.labels[idx], self.name)
 
 
 def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Dataset:

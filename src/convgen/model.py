@@ -237,18 +237,16 @@ class ConvGeNModel:
     def _generator_step(self, x_pos: int) -> float:
         """Combined pass for one minority point: D trains once, then G
         updates through the frozen D against the MSE objective."""
-        _, min_ids, maj_ids, _ = self.discriminator_step(x_pos)
-        min_rows = self.dataset.features[min_ids]
-        maj_rows = self.dataset.features[maj_ids]
-        _, conv_samples = self.generator.forward(min_rows)
-        concat = np.vstack([conv_samples, maj_rows])
+        # G is unchanged since discriminator_step ran it on these rows, so
+        # its concat and the generator's cached forward state still hold
+        concat, min_ids, _, _ = self.discriminator_step(x_pos)
         pred = self.discriminator.forward(concat)
         loss = nn.loss_value("mse", pred, self._labels)
         grad = nn.loss_grad("mse", pred, self._labels)
         d_input_grad = self.discriminator.backward_from(grad)
         self.discriminator.zero_grad()  # D stays frozen in this step
         dc = d_input_grad[: self._neb]
-        self.generator.backward_from_dk(min_rows @ dc.T)
+        self.generator.backward_from_dk(self.dataset.features[min_ids] @ dc.T)
         self.generator.step(LEARNING_RATE)
         return loss
 
@@ -325,7 +323,6 @@ class ConvGeNModel:
         targets = np.where(minority_flags[:, None], [[1.0, 0.0]], [[0.0, 1.0]])
 
         doc = self.discriminator.clone()
-        doc.reset_optimizer()
         rng = np.random.default_rng(derive_seed(self.config.seed, "doc"))
         for _ in range(epochs):
             order = rng.permutation(len(features))

@@ -1,20 +1,26 @@
 """Minimal dense/conv1d neural network engine with reverse-mode gradients.
 
-All arithmetic is float64. Networks are small and fixed, so clarity and
-reproducibility win over speed: forward passes cache activations on the
-layer objects, backward fills explicit gradient slots, and an Adam step
-consumes them.
+All arithmetic is float64. A Network owns one flat parameter vector and
+one flat gradient vector; each layer's weights and gradients are reshaped
+views into them. Forward passes cache activations on the layer objects,
+backward accumulates into the gradient views, and the Adam step updates
+the whole parameter vector at once.
 
 Defaults the source material leaves open: Adam (beta1=0.9, beta2=0.999,
-lr=1e-3), Glorot-uniform init, BCE probabilities clamped to
+eps=1e-8, lr=1e-3), Glorot-uniform init, BCE probabilities clamped to
 [1e-7, 1 - 1e-7].
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 BCE_EPS = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NNError(Exception):
@@ -57,8 +63,6 @@ def activation_backward(name: str, a: np.ndarray, grad_a: np.ndarray) -> np.ndar
 class Dense:
     """Fully connected layer: (batch, n_in) -> (batch, n_out)."""
 
-    kind = "dense"
-
     def __init__(self, n_in: int, n_out: int, activation: str, rng: np.random.Generator) -> None:
         limit = np.sqrt(6.0 / (n_in + n_out))
         self.w = rng.uniform(-limit, limit, size=(n_in, n_out))
@@ -97,8 +101,6 @@ class Conv1D:
     stride 1, so rows_out = rows_in - kernel_rows + 1. Used to compress a
     neighborhood batch of rows_in samples down to rows_out.
     """
-
-    kind = "conv1d"
 
     def __init__(self, rows_in: int, rows_out: int, features: int, activation: str,
                  rng: np.random.Generator) -> None:
@@ -147,8 +149,6 @@ class Conv1D:
 class Flatten:
     """Reshape (rows, cols) -> (1, rows*cols); parameter-free."""
 
-    kind = "flatten"
-
     def __init__(self) -> None:
         self._shape = None
 
@@ -188,20 +188,24 @@ def loss_grad(kind: str, predicted: np.ndarray, target: np.ndarray) -> np.ndarra
 class Network:
     """Ordered layer stack with cached forward, backward, and Adam updates."""
 
-    def __init__(self, layers, beta1: float = 0.9, beta2: float = 0.999) -> None:
+    def __init__(self, layers) -> None:
         self.layers = list(layers)
-        self.beta1 = beta1
-        self.beta2 = beta2
+        slots = [(layer, name, p) for layer in self.layers for name, p, _ in layer.params()]
+        size = sum(p.size for _, _, p in slots)
+        self.params = np.empty(size)
+        self.grads = np.zeros(size)
+        start = 0
+        for layer, name, p in slots:
+            end = start + p.size
+            self.params[start:end] = p.reshape(-1)
+            # a parameter `name` has its gradient in the attribute "g" + name
+            setattr(layer, name, self.params[start:end].reshape(p.shape))
+            setattr(layer, "g" + name, self.grads[start:end].reshape(p.shape))
+            start = end
         self._adam_t = 0
-        self._adam_m = [np.zeros_like(p) for _, p, _ in self._all_params()]
-        self._adam_v = [np.zeros_like(p) for _, p, _ in self._all_params()]
+        self._adam_m = np.zeros(size)
+        self._adam_v = np.zeros(size)
         self._has_grads = False
-
-    def _all_params(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for i, layer in enumerate(self.layers):
@@ -214,7 +218,7 @@ class Network:
         return x
 
     def backward(self, loss: str, predicted: np.ndarray, target: np.ndarray) -> float:
-        """Fill gradient slots for dL/dparam; returns the loss value."""
+        """Accumulate dL/dparam into the gradient vector; returns the loss value."""
         value = loss_value(loss, predicted, target)
         if not np.isfinite(value):
             raise NNError(f"non-finite {loss} loss")
@@ -232,39 +236,36 @@ class Network:
         return grad_out
 
     def zero_grad(self) -> None:
-        for layer in self.layers:
-            for _, _, g in layer.params():
-                g[...] = 0.0
+        self.grads[...] = 0.0
         self._has_grads = False
 
-    def step(self, lr: float = 1e-3, eps: float = 1e-8) -> None:
-        """One Adam update from the accumulated gradients; zeroes them after."""
+    def step(self, lr: float = 1e-3) -> None:
+        """One Adam update from the accumulated gradients; zeroes them after.
+
+        Computes p -= lr * m_hat / (sqrt(v_hat) + eps) in place, in that operand
+        order, with the spent gradient vector as the second scratch buffer.
+        """
         if not self._has_grads:
             raise NNError("optimizer step before backward")
         self._adam_t += 1
         t = self._adam_t
-        for i, (_, p, g) in enumerate(self._all_params()):
-            m = self._adam_m[i]
-            v = self._adam_v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g, m, v, s = self.grads, self._adam_m, self._adam_v, np.empty_like(self.grads)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+        v *= ADAM_BETA2
+        np.multiply(1.0 - ADAM_BETA2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=g)
+        g *= lr
+        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        self.params -= np.divide(g, s, out=g)
         self.zero_grad()
 
-    def reset_optimizer(self) -> None:
-        self._adam_t = 0
-        for m, v in zip(self._adam_m, self._adam_v):
-            m[...] = 0.0
-            v[...] = 0.0
-
     def clone(self) -> "Network":
-        import copy
-
-        return copy.deepcopy(self)
+        """A network with copies of the layers and a fresh optimizer."""
+        return Network(copy.deepcopy(self.layers))
 
 
 def dense_network(sizes, activations, seed: int) -> Network:
@@ -287,21 +288,19 @@ def grad_check(net: Network, loss: str, x: np.ndarray, target: np.ndarray,
     net.zero_grad()
     pred = net.forward(x)
     net.backward(loss, pred, target)
-    analytic = [g.copy() for _, _, g in net._all_params()]
+    analytic = net.grads.copy()
     net.zero_grad()
 
     worst = 0.0
-    for (name, p, _), ga in zip(net._all_params(), analytic):
-        flat_p = p.reshape(-1)
-        flat_g = ga.reshape(-1)
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + epsilon
-            up = loss_value(loss, net.forward(x), target)
-            flat_p[idx] = orig - epsilon
-            down = loss_value(loss, net.forward(x), target)
-            flat_p[idx] = orig
-            numeric = (up - down) / (2.0 * epsilon)
-            denom = max(abs(flat_g[idx]), abs(numeric), 1e-12)
-            worst = max(worst, abs(flat_g[idx] - numeric) / denom)
+    p = net.params
+    for idx in range(p.size):
+        orig = p[idx]
+        p[idx] = orig + epsilon
+        up = loss_value(loss, net.forward(x), target)
+        p[idx] = orig - epsilon
+        down = loss_value(loss, net.forward(x), target)
+        p[idx] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        denom = max(abs(analytic[idx]), abs(numeric), 1e-12)
+        worst = max(worst, abs(analytic[idx] - numeric) / denom)
     return worst

@@ -39,10 +39,6 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def uniform(self) -> float:
-        # 53-bit mantissa, uniform in [0, 1)
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

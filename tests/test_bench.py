@@ -10,7 +10,9 @@ from convgen.bench import (
     DatasetSpec,
     OversamplerSpec,
     dump_report,
+    FoldResult,
     emit_report,
+    make_classifier,
     oversample_fold,
     report_to_csv,
     report_to_markdown,
@@ -120,6 +122,19 @@ class TestOversampleFold:
         with pytest.raises(TypeError, match="neb_epoch"):
             oversample_fold(spec, toy_dataset.subset(train_ids), train_ids, 4, seed=3)
 
+    @pytest.mark.parametrize("kind,params,key", [
+        ("repeater", {"k": 3}, "k"),
+        ("interpolation", {"kk": 1}, "kk"),
+        ("gan", {"epochs": 2, "lr": 0.1}, "lr"),
+        ("from-file", {"path": "rows.csv", "rows": 3}, "rows"),
+    ])
+    def test_unknown_key_rejected(self, toy_dataset, kind, params, key):
+        plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
+        train_ids = plan.train_indices(0, 0)
+        with pytest.raises(DataError, match=f"unknown key.*'{key}'"):
+            oversample_fold(OversamplerSpec("o", kind, params),
+                            toy_dataset.subset(train_ids), train_ids, 4, seed=3)
+
     def test_from_file_cycles_rows(self, tmp_path, toy_dataset):
         rows = np.arange(6.0).reshape(3, 2)
         path = tmp_path / "syn.csv"
@@ -139,6 +154,24 @@ class TestOversampleFold:
         with pytest.raises(DataError):
             oversample_fold(OversamplerSpec("x", "smote"),
                             toy_dataset.subset(train_ids), train_ids, 4, 1)
+
+
+class TestMakeClassifier:
+    def test_allowed_key_is_used(self):
+        clf = make_classifier(ClassifierSpec("knn3", "knn", {"k": 3}), FoldResult(None, None))
+        assert clf.k == 3
+
+    @pytest.mark.parametrize("kind,params,keys", [
+        ("knn", {"k": 3, "weights": "distance"}, ["weights"]),
+        ("logreg", {"lr": 5.0, "iterations": 1}, ["iterations", "lr"]),
+        ("doc", {"epochs": 3}, ["epochs"]),
+        ("external", {"dir": "preds", "sep": ";"}, ["sep"]),
+    ])
+    def test_unknown_key_rejected(self, kind, params, keys):
+        fold_result = FoldResult(None, None, doc_factory=lambda: "doc")
+        with pytest.raises(DataError, match="unknown key") as info:
+            make_classifier(ClassifierSpec("c", kind, params), fold_result, "preds/f.csv")
+        assert str(keys) in str(info.value)
 
 
 class TestRunFold:

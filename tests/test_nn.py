@@ -193,3 +193,96 @@ class TestGradCheck:
         net = dense_network([1, 1], ["identity"], seed=0)
         with pytest.raises(NNError):
             grad_check(net, "mse", np.ones((1, 1)), np.ones((1, 1)), epsilon=0.0)
+
+
+def reference_adam_step(params, grads, m, v, t, lr):
+    """Textbook Adam (Kingma & Ba, Alg. 1), one parameter array at a time: the
+    reference the whole-vector update must match bit for bit."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        vi += (1.0 - beta2) * g * g
+        m_hat = mi / (1.0 - beta1 ** t)
+        v_hat = vi / (1.0 - beta2 ** t)
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def conv_dense_case(seed=21):
+    """A generator-shaped stack, input rows and an MSE target."""
+    rng = np.random.default_rng(seed)
+    net = Network([Conv1D(6, 3, 4, "identity", rng), Flatten(), Dense(12, 36, "identity", rng)])
+    return net, lambda r: (r.normal(size=(6, 4)), r.normal(size=(1, 36))), "mse"
+
+
+def dense_case(seed=22):
+    """A discriminator-shaped MLP, a batch and one-hot BCE targets."""
+    net = dense_network([4, 8, 6, 2], ["relu", "relu", "softmax"], seed=seed)
+
+    def batch(r):
+        t = np.zeros((5, 2))
+        t[np.arange(5), r.integers(2, size=5)] = 1.0
+        return r.normal(size=(5, 4)), t
+
+    return net, batch, "bce"
+
+
+def train_step(net, batch, loss, r, lr=1e-2):
+    x, t = batch(r)
+    net.backward(loss, net.forward(x), t)
+    net.step(lr)
+
+
+class TestFlatEngine:
+    @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
+    def test_adam_matches_per_array_reference_bitwise(self, case):
+        net, batch, loss = case()
+        slots = [(p, g) for layer in net.layers for _, p, g in layer.params()]
+        ref = [p.copy() for p, _ in slots]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        r = np.random.default_rng(0)
+        for t in range(1, 26):
+            x, target = batch(r)
+            net.backward(loss, net.forward(x), target)
+            reference_adam_step(ref, [g.copy() for _, g in slots], m, v, t, lr=1e-2)
+            net.step(lr=1e-2)
+            assert net.params.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
+            assert not net.grads.any()
+
+    @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
+    def test_layer_arrays_are_views_of_the_flat_vectors(self, case):
+        net = case()[0]
+        twin = net.clone()
+        assert np.array_equal(twin.params, net.params)
+        assert not np.shares_memory(twin.params, net.params)
+        assert not np.shares_memory(twin.grads, net.grads)
+        for owner in (net, twin):
+            # distinct values show that each array has its own slot, in layer order
+            owner.params[:] = np.arange(owner.params.size)
+            owner.grads[:] = -np.arange(owner.grads.size)
+            layers = [layer for layer in owner.layers if layer.params()]
+            assert layers
+            for vector, names in ((owner.params, ("w", "b")), (owner.grads, ("gw", "gb"))):
+                arrays = [getattr(layer, name) for layer in layers for name in names]
+                assert all(np.shares_memory(a, vector) for a in arrays)
+                assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), vector)
+
+    def test_clone_starts_a_fresh_optimizer_and_leaves_the_original(self):
+        net, batch, loss = dense_case()
+        r = np.random.default_rng(1)
+        for _ in range(3):
+            train_step(net, batch, loss, r)
+        before = (net.params.copy(), net._adam_m.copy(), net._adam_v.copy(), net._adam_t)
+        twin = net.clone()
+        assert twin._adam_t == 0
+        assert not twin._adam_m.any() and not twin._adam_v.any()
+        assert np.array_equal(twin.params, net.params)
+        for _ in range(3):
+            train_step(twin, batch, loss, r)
+        assert not np.array_equal(twin.params, net.params)
+        assert np.array_equal(net.params, before[0])
+        assert np.array_equal(net._adam_m, before[1])
+        assert np.array_equal(net._adam_v, before[2])
+        assert net._adam_t == before[3]
