@@ -153,6 +153,15 @@ def _check_keys(spec: OversamplerSpec | ClassifierSpec) -> None:
         raise DataError(f"{spec.kind} {spec.name!r}: unknown key(s) {unknown}")
 
 
+def _positive_int(spec: OversamplerSpec | ClassifierSpec, key: str, default: int) -> int:
+    """The spec's `key` value, which must be an integer >= 1 (not a bool)."""
+    value = spec.params.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DataError(f"{spec.kind} {spec.name!r}: {key} must be an integer >= 1, "
+                        f"got {value!r}")
+    return int(value)
+
+
 def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray,
                     n_synthetic: int, seed: int) -> FoldResult:
     """Train the configured oversampler on the fold and emit synthetic rows.
@@ -172,7 +181,7 @@ def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray
     if spec.kind == "interpolation":
         rng = np.random.default_rng(seed)
         synthetic, pairs = interpolation_sample(
-            minority_rows, int(spec.params.get("k", 5)), n_synthetic, rng
+            minority_rows, _positive_int(spec, "k", 5), n_synthetic, rng
         )
         provenance = np.unique(minority_ids[pairs.reshape(-1)]) if len(pairs) else minority_ids[:0]
         return FoldResult(synthetic, provenance)
@@ -180,7 +189,7 @@ def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray
     if spec.kind == "gan":
         cfg = GanConfig(
             n_features=train.n_features,
-            epochs=int(spec.params.get("epochs", 300)),
+            epochs=_positive_int(spec, "epochs", 300),
             seed=seed,
         )
         gan = Gan(cfg).train(minority_rows)
@@ -215,7 +224,7 @@ def make_classifier(spec: ClassifierSpec, fold_result: FoldResult,
                     external_path: str | None = None):
     _check_keys(spec)
     if spec.kind == "knn":
-        return KNNClassifier(k=int(spec.params.get("k", 5)))
+        return KNNClassifier(k=_positive_int(spec, "k", 5))
     if spec.kind == "logreg":
         return LogisticRegressionClassifier()
     if spec.kind == "doc":
@@ -262,7 +271,7 @@ def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
         started = time.perf_counter()
         try:
             external_path = None
-            if clf_spec.kind == "external":
+            if clf_spec.kind == "external" and "dir" in clf_spec.params:
                 external_path = os.path.join(
                     clf_spec.params["dir"],
                     f"{dataset.name}_s{shuffle}_f{fold}.csv",

@@ -3,8 +3,10 @@ the retrained-discriminator wrapper, and an adapter for out-of-band
 predictions.
 
 All classifiers expose fit(features, labels) / predict(features) with
-labels in {0, 1}, 1 = minority. Predictions are deterministic; kNN breaks
-even-vote ties toward the majority class (label 0).
+labels in {0, 1}, 1 = minority; kNN and logistic regression raise DataError
+unless the training labels are exactly 0 and 1, both present. Predictions
+are deterministic; kNN breaks even-vote ties toward the majority class
+(label 0).
 """
 
 from __future__ import annotations
@@ -15,25 +17,27 @@ from .data import DataError
 from .neighborhood import ranked_neighbors
 
 
-def _check_two_classes(labels: np.ndarray) -> None:
-    if len(np.unique(labels)) < 2:
-        raise DataError("training labels contain a single class")
+def _check_binary_labels(labels) -> None:
+    """Training labels must be exactly {0, 1}, both present."""
+    present = np.unique(labels)
+    if not np.array_equal(present, (0, 1)):
+        raise DataError(f"training labels must be 0 and 1, both present; got {present[:5]}")
 
 
 class KNNClassifier:
     """Exact Euclidean k-nearest-neighbors with uniform majority vote, k = 5."""
 
     def __init__(self, k: int = 5) -> None:
+        if k < 1:
+            raise DataError(f"k must be >= 1, got {k}")
         self.k = k
         self._x = None
         self._y = None
 
     def fit(self, features, labels):
-        features = np.asarray(features, dtype=np.float64)
-        labels = np.asarray(labels, dtype=int)
-        _check_two_classes(labels)
-        self._x = features
-        self._y = labels
+        _check_binary_labels(labels)
+        self._x = np.asarray(features, dtype=np.float64)
+        self._y = np.asarray(labels, dtype=int)
         return self
 
     def predict(self, features) -> np.ndarray:
@@ -67,31 +71,51 @@ class LogisticRegressionClassifier:
 
     @staticmethod
     def _sigmoid(z):
-        return 1.0 / (1.0 + np.exp(-z))
+        """1 / (1 + exp(-z)), computed in place in `z`."""
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.add(z, 1.0, out=z)
+        return np.divide(1.0, z, out=z)
 
     def fit(self, features, labels):
+        _check_binary_labels(labels)
         x = np.asarray(features, dtype=np.float64)
         y = np.asarray(labels, dtype=np.float64)
-        _check_two_classes(y.astype(int))
         n, f = x.shape
         self.weights = np.zeros(f)
         self.bias = 0.0
         self.loss_trace = []
+        # The cross-entropy y*log(p+eps) + (1-y)*log(1-p+eps) takes one log per
+        # row: the term that y zeroes is +-0.0 and adding it changes nothing.
+        # (1-y) + (2y-1)*p is exactly p where y = 1 and exactly 1-p where y = 0.
+        offset = 1.0 - y
+        flip = 2.0 * y - 1.0
+        eps = 1e-12
+        p, q, err = np.empty(n), np.empty(n), np.empty(n)
         prev = np.inf
         for _ in range(self.iterations):
-            p = self._sigmoid(x @ self.weights + self.bias)
-            eps = 1e-12
+            np.matmul(x, self.weights, out=p)
+            p += self.bias
+            self._sigmoid(p)
+            np.multiply(flip, p, out=q)
+            q += offset
+            q += eps
+            np.log(q, out=q)
+            # np.add.reduce(v) / n is np.mean(v) for float64, without its wrapper
             loss = float(
-                -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
+                -(np.add.reduce(q) / n)
                 + 0.5 * self.l2 * np.dot(self.weights, self.weights)
             )
             self.loss_trace.append(loss)
             if prev - loss < self.tol:
                 break
             prev = loss
-            err = p - y
-            self.weights -= self.lr * (x.T @ err / n + self.l2 * self.weights)
-            self.bias -= self.lr * float(err.mean())
+            np.subtract(p, y, out=err)
+            grad = x.T @ err
+            grad /= n
+            grad += self.l2 * self.weights
+            self.weights -= self.lr * grad
+            self.bias -= self.lr * float(np.add.reduce(err) / n)
         return self
 
     def predict(self, features) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Rankings sort by (distance, sample index) so results are deterministic on
 every platform. Sizes here are small (a few thousand rows), so plain
-brute-force distances are both fast enough and exact.
+brute-force distances are both fast enough and exact. Each query selects
+the rows within its k-th smallest distance and stable-sorts only those
+candidates, which keeps the (distance, index) order of a full sort.
 """
 
 from __future__ import annotations
@@ -33,11 +35,19 @@ def ranked_neighbors(queries: np.ndarray, k: int, pool: np.ndarray | None = None
     if self_query:
         pool = queries
     out = np.empty((len(queries), min(k, len(pool))), dtype=np.intp)
+    select = k < len(pool)
     for i, row in enumerate(queries):
         d2 = ((pool - row) ** 2).sum(axis=1)
         if self_query:
             d2[i] = -1.0
-        out[i] = np.argsort(d2, kind="stable")[:k]
+        if select:
+            kth = np.partition(d2, k - 1)[k - 1]
+            # candidates in index order, so the stable sort breaks ties by index;
+            # NaN distances stay candidates and sort last, as in a full sort
+            cand = np.flatnonzero(~(d2 > kth))
+            out[i] = cand[np.argsort(d2[cand], kind="stable")[:k]]
+        else:
+            out[i] = np.argsort(d2, kind="stable")
     return out
 
 

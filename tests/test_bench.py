@@ -135,6 +135,23 @@ class TestOversampleFold:
             oversample_fold(OversamplerSpec("o", kind, params),
                             toy_dataset.subset(train_ids), train_ids, 4, seed=3)
 
+    @pytest.mark.parametrize("kind,key,value", [
+        ("interpolation", "k", "5"),
+        ("interpolation", "k", 2.7),
+        ("interpolation", "k", 0),
+        ("interpolation", "k", True),
+        ("gan", "epochs", "300"),
+        ("gan", "epochs", 2.0),
+        ("gan", "epochs", -1),
+        ("gan", "epochs", False),
+    ])
+    def test_count_value_must_be_positive_int(self, toy_dataset, kind, key, value):
+        plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
+        train_ids = plan.train_indices(0, 0)
+        with pytest.raises(DataError, match=f"{key} must be an integer >= 1, got {value!r}"):
+            oversample_fold(OversamplerSpec("o", kind, {key: value}),
+                            toy_dataset.subset(train_ids), train_ids, 4, seed=3)
+
     def test_from_file_cycles_rows(self, tmp_path, toy_dataset):
         rows = np.arange(6.0).reshape(3, 2)
         path = tmp_path / "syn.csv"
@@ -172,6 +189,16 @@ class TestMakeClassifier:
         with pytest.raises(DataError, match="unknown key") as info:
             make_classifier(ClassifierSpec("c", kind, params), fold_result, "preds/f.csv")
         assert str(keys) in str(info.value)
+
+
+    @pytest.mark.parametrize("value", ["5", 2.7, 0, -3, True])
+    def test_knn_k_must_be_positive_int(self, value):
+        with pytest.raises(DataError, match=f"k must be an integer >= 1, got {value!r}"):
+            make_classifier(ClassifierSpec("knn", "knn", {"k": value}), FoldResult(None, None))
+
+    def test_numpy_integer_k_accepted(self):
+        spec = ClassifierSpec("knn", "knn", {"k": np.int64(3)})
+        assert make_classifier(spec, FoldResult(None, None)).k == 3
 
 
 class TestRunFold:
@@ -241,6 +268,17 @@ class TestRunFold:
         scores = run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
         assert scores["ext"]["f1"] == 1.0
         assert scores["ext"]["kappa"] == 1.0
+
+
+    def test_external_without_dir_fails_its_cell_with_data_error(self, toy_csv):
+        cfg = toy_config(toy_csv, [OversamplerSpec("rep", "repeater")],
+                         [ClassifierSpec("ext", "external"), ClassifierSpec("knn", "knn")])
+        dataset = cfg.datasets[0].load()
+        plan = stratified_kfold(dataset, 2, 1, seed=1)
+        scores = run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
+        assert scores["ext"]["error"] == (
+            "DataError: external classifier needs a predictions directory")
+        assert "f1" in scores["knn"]
 
 
 class TestRunBenchmark:

@@ -6,8 +6,43 @@ from convgen.classifiers import (
     KNNClassifier,
     LogisticRegressionClassifier,
 )
-from convgen.data import DataError
+from convgen.data import DataError, load_csv, stratified_kfold
 from tests.conftest import two_blob_dataset
+
+
+def repeater_fold(path):
+    """The first rebalanced training fold of a bundled dataset (repeater rows)."""
+    ds = load_csv(path, "label", "1")
+    train_ids = stratified_kfold(ds, 5, 1, seed=0).train_indices(0, 0)
+    train = ds.subset(train_ids)
+    n_syn = train.majority_count - train.minority_count
+    minority = train.features[train.minority_indices]
+    return (np.vstack([train.features, minority[np.arange(n_syn) % len(minority)]]),
+            np.concatenate([train.labels, np.ones(n_syn, dtype=int)]))
+
+
+def reference_logreg(x, y, lr=0.1, iterations=2000, l2=1e-4, tol=1e-9):
+    """The two-log gradient-descent loop that LogisticRegressionClassifier.fit
+    must reproduce bit for bit."""
+    y = y.astype(np.float64)
+    n, f = x.shape
+    weights, bias, trace = np.zeros(f), 0.0, []
+    prev = np.inf
+    for _ in range(iterations):
+        p = 1.0 / (1.0 + np.exp(-(x @ weights + bias)))
+        eps = 1e-12
+        loss = float(
+            -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
+            + 0.5 * l2 * np.dot(weights, weights)
+        )
+        trace.append(loss)
+        if prev - loss < tol:
+            break
+        prev = loss
+        err = p - y
+        weights -= lr * (x.T @ err / n + l2 * weights)
+        bias -= lr * float(err.mean())
+    return weights, bias, trace
 
 
 class TestKnn:
@@ -62,6 +97,16 @@ class TestKnn:
         with pytest.raises(DataError):
             KNNClassifier().fit(np.zeros((3, 1)), np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize("labels", [[1, 2, 1, 2], [0, 1, 2, 1], [0.0, 0.5, 1.0, 1.0]])
+    def test_labels_other_than_0_1_rejected(self, labels):
+        with pytest.raises(DataError, match="0 and 1"):
+            KNNClassifier(k=1).fit(np.arange(4.0).reshape(4, 1), np.array(labels))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(DataError, match="k must be >= 1"):
+            KNNClassifier(k=k)
+
     def test_feature_width_mismatch(self):
         clf = KNNClassifier().fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
         with pytest.raises(DataError, match="width"):
@@ -97,6 +142,26 @@ class TestLogisticRegression:
     def test_predict_before_fit(self):
         with pytest.raises(DataError):
             LogisticRegressionClassifier().predict(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("labels", [[1, 2, 1, 2], [0, 0, 0, 0], [0.0, 0.5, 1.0, 1.0]])
+    def test_labels_other_than_0_1_rejected(self, labels):
+        with pytest.raises(DataError, match="0 and 1"):
+            LogisticRegressionClassifier().fit(np.arange(4.0).reshape(4, 1), np.array(labels))
+
+    @pytest.mark.parametrize("path,tol", [
+        ("datasets/abalone9-18.csv", 1e-9),
+        ("datasets/yeast6.csv", 1e-9),
+        ("datasets/yeast6.csv", 1e-4),  # the early stop fires
+    ])
+    def test_matches_reference_loop_bitwise(self, path, tol):
+        x, y = repeater_fold(path)
+        weights, bias, trace = reference_logreg(x, y, tol=tol)
+        clf = LogisticRegressionClassifier(tol=tol).fit(x, y)
+        if tol > 1e-9:
+            assert len(trace) < clf.iterations
+        assert clf.loss_trace == trace
+        assert np.array_equal(clf.weights, weights)
+        assert clf.bias == bias
 
 
 class TestExternalPredictions:

@@ -141,3 +141,39 @@ class TestRankedNeighbors:
         queries = pool[picks] + data.draw(st.sampled_from([0.0, 0.5]))
         ranked = ranked_neighbors(queries, k, pool)
         assert np.array_equal(ranked, oracle(queries, pool, k))
+
+    @staticmethod
+    def full_sort(queries, pool, k, self_query):
+        """The full stable argsort of each query's distances: the reference ranking."""
+        out = []
+        for i, row in enumerate(queries):
+            d2 = ((pool - row) ** 2).sum(axis=1)
+            if self_query:
+                d2[i] = -1.0
+            out.append(np.argsort(d2, kind="stable")[:k])
+        return np.array(out)
+
+    @pytest.mark.parametrize("self_query", [True, False])
+    def test_many_ties_at_kth_distance_match_full_sort(self, self_query):
+        rng = np.random.default_rng(41)
+        # 60 grid points, each repeated 6 times and shuffled: 360 rows in which
+        # every distance is shared by a block of duplicates and by other points
+        pool = np.repeat(rng.integers(-2, 3, size=(60, 3)).astype(float), 6, axis=0)
+        pool = pool[rng.permutation(len(pool))]
+        queries = pool if self_query else np.vstack([pool[:40], pool[:40] + 0.5])
+        k = 5
+        ranked = ranked_neighbors(queries, k, None if self_query else pool)
+        assert np.array_equal(ranked, self.full_sort(queries, pool, k, self_query))
+        # the k-th distance is shared beyond position k for most queries
+        d2 = ((pool[None] - queries[:, None]) ** 2).sum(axis=2)
+        if self_query:
+            d2[np.arange(len(pool)), np.arange(len(pool))] = -1.0
+        kth = np.sort(d2, axis=1)[:, k - 1]
+        assert np.mean((d2 <= kth[:, None]).sum(axis=1) > k) > 0.5
+
+    def test_nan_distances_rank_last(self):
+        pool = np.array([[np.nan], [0.0], [np.nan], [2.0], [1.0], [np.nan]])
+        queries = np.array([[0.4], [np.nan]])
+        for k in (2, 4, 5):
+            ranked = ranked_neighbors(queries, k, pool)
+            assert np.array_equal(ranked, self.full_sort(queries, pool, k, False))
