@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import DataError, ScaleInfo, compute_alpha, scale, unscale
+from .data import DataError, ScaleInfo, compute_alpha, require_int, scale, unscale
 from .neighborhood import ranked_neighbors
 
 
@@ -33,9 +33,7 @@ def interpolation_sample(minority: np.ndarray, k: int, n_synthetic: int,
     """
     if len(minority) < 2:
         raise DataError("interpolation needs at least two minority rows")
-    if k < 1:
-        raise DataError("k must be >= 1")
-    k = min(k, len(minority) - 1)
+    k = min(require_int("k", k, 1), len(minority) - 1)
     neighbor_lists = ranked_neighbors(minority, k + 1)[:, 1:]
 
     samples = np.empty((n_synthetic, minority.shape[1]))

@@ -17,7 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .classifiers import (
     KNNClassifier,
     LogisticRegressionClassifier,
 )
-from .data import DataError, Dataset, FoldPlan, load_csv, stratified_kfold
+from .data import DataError, Dataset, FoldPlan, load_csv, require_int, stratified_kfold
 from .metrics import cohen_kappa, confusion, f1_minority
 from .model import ConvGeNConfig, ConvGeNModel
 from .rng import derive_seed
@@ -45,27 +45,40 @@ class DatasetSpec:
 
 
 @dataclass(frozen=True)
-class OversamplerSpec:
+class Spec:
+    """One oversampler or classifier entry; `params` are its other keys."""
+
     name: str
-    kind: str  # repeater | gan | interpolation | convgen | from-file
+    kind: str  # a key of SPEC_KEYS
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ClassifierSpec:
-    name: str
-    kind: str  # knn | logreg | doc | external
-    params: dict = field(default_factory=dict)
+OversamplerSpec = ClassifierSpec = Spec
+
+
+def _spec(entry) -> Spec:
+    """A config list entry: a bare kind string, or {"kind", "name"?, **params}."""
+    if isinstance(entry, str):
+        return Spec(entry, entry)
+    params = {k: v for k, v in entry.items() if k not in ("name", "kind")}
+    return Spec(entry.get("name", entry["kind"]), entry["kind"], params)
 
 
 @dataclass(frozen=True)
 class BenchmarkConfig:
     datasets: tuple[DatasetSpec, ...]
-    oversamplers: tuple[OversamplerSpec, ...]
-    classifiers: tuple[ClassifierSpec, ...]
+    oversamplers: tuple[Spec, ...]
+    classifiers: tuple[Spec, ...]
     n_folds: int = 5
     n_shuffles: int = 5
     seed: int = 0
+
+    def __post_init__(self):
+        # report cells and per-fold scores are keyed by these names
+        for specs in (self.datasets, self.oversamplers, self.classifiers):
+            names = [spec.name for spec in specs]
+            if len(set(names)) != len(names):
+                raise DataError(f"names must be unique within a config list, got {names}")
 
     @staticmethod
     def from_json(path, seed_override: int | None = None) -> "BenchmarkConfig":
@@ -80,24 +93,6 @@ class BenchmarkConfig:
             )
             for d in raw["datasets"]
         )
-        oversamplers = tuple(
-            OversamplerSpec(
-                name=o.get("name", o["kind"]),
-                kind=o["kind"],
-                params={k: v for k, v in o.items() if k not in ("name", "kind")},
-            )
-            for o in raw["oversamplers"]
-        )
-        classifiers = tuple(
-            ClassifierSpec(name=c, kind=c, params={})
-            if isinstance(c, str)
-            else ClassifierSpec(
-                name=c.get("name", c["kind"]),
-                kind=c["kind"],
-                params={k: v for k, v in c.items() if k not in ("name", "kind")},
-            )
-            for c in raw["classifiers"]
-        )
         env_seed = os.environ.get("CONVGEN_SEED")
         seed = raw.get("seed", 0)
         if env_seed is not None:
@@ -106,28 +101,12 @@ class BenchmarkConfig:
             seed = seed_override
         return BenchmarkConfig(
             datasets=datasets,
-            oversamplers=oversamplers,
-            classifiers=classifiers,
+            oversamplers=tuple(map(_spec, raw["oversamplers"])),
+            classifiers=tuple(map(_spec, raw["classifiers"])),
             n_folds=raw.get("n_folds", 5),
             n_shuffles=raw.get("n_shuffles", 5),
             seed=seed,
         )
-
-    def echo(self) -> dict:
-        return {
-            "datasets": [vars(d) for d in self.datasets],
-            "oversamplers": [
-                {"name": o.name, "kind": o.kind, "params": o.params}
-                for o in self.oversamplers
-            ],
-            "classifiers": [
-                {"name": c.name, "kind": c.kind, "params": c.params}
-                for c in self.classifiers
-            ],
-            "n_folds": self.n_folds,
-            "n_shuffles": self.n_shuffles,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -139,30 +118,26 @@ class FoldResult:
     doc_factory: object = None  # () -> retrained-discriminator classifier
 
 
-# The keys each kind reads from its spec. ConvGeN keys are checked by
-# ConvGeNConfig itself, and an unknown kind fails on its own.
+# The keys each kind reads from its spec; an unknown kind fails on its own.
 SPEC_KEYS = {
     "repeater": (), "interpolation": ("k",), "gan": ("epochs",), "from-file": ("path",),
+    "convgen": ("preset", "neb", "disc_train_count", "neb_epochs", "maj_proximal", "k_prime"),
     "knn": ("k",), "logreg": (), "doc": (), "external": ("dir",),
 }
 
 
-def _check_keys(spec: OversamplerSpec | ClassifierSpec) -> None:
+def _check_keys(spec: Spec) -> None:
     unknown = sorted(set(spec.params) - set(SPEC_KEYS.get(spec.kind, spec.params)))
     if unknown:
         raise DataError(f"{spec.kind} {spec.name!r}: unknown key(s) {unknown}")
 
 
-def _positive_int(spec: OversamplerSpec | ClassifierSpec, key: str, default: int) -> int:
+def _positive_int(spec: Spec, key: str, default: int) -> int:
     """The spec's `key` value, which must be an integer >= 1 (not a bool)."""
-    value = spec.params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise DataError(f"{spec.kind} {spec.name!r}: {key} must be an integer >= 1, "
-                        f"got {value!r}")
-    return int(value)
+    return require_int(f"{spec.kind} {spec.name!r}: {key}", spec.params.get(key, default), 1)
 
 
-def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray,
+def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
                     n_synthetic: int, seed: int) -> FoldResult:
     """Train the configured oversampler on the fold and emit synthetic rows.
 
@@ -199,7 +174,6 @@ def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray
         params = dict(spec.params)
         preset = params.pop("preset", None)
         base = ConvGeNConfig.preset(preset) if preset else ConvGeNConfig()
-        # an unknown key raises a TypeError that names it
         model = ConvGeNModel(replace(base, seed=seed, **params)).fit(train)
         batches = model.generate(n_synthetic)
         if batches:
@@ -214,13 +188,12 @@ def oversample_fold(spec: OversamplerSpec, train: Dataset, train_ids: np.ndarray
 
     if spec.kind == "from-file":
         rows = load_synthetic_csv(spec.params["path"], train.n_features)
-        idx = np.arange(n_synthetic) % len(rows)
-        return FoldResult(rows[idx].copy(), None)
+        return FoldResult(repeater_sample(rows, n_synthetic), None)
 
     raise DataError(f"unknown oversampler kind {spec.kind!r}")
 
 
-def make_classifier(spec: ClassifierSpec, fold_result: FoldResult,
+def make_classifier(spec: Spec, fold_result: FoldResult,
                     external_path: str | None = None):
     _check_keys(spec)
     if spec.kind == "knn":
@@ -239,7 +212,7 @@ def make_classifier(spec: ClassifierSpec, fold_result: FoldResult,
 
 
 def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
-             oversampler: OversamplerSpec, shuffle: int, fold: int) -> dict:
+             oversampler: Spec, shuffle: int, fold: int) -> dict:
     """One (oversampler, shuffle, fold) unit: returns per-classifier scores.
 
     Also performs the protocol checks: provenance stays inside the training
@@ -287,13 +260,14 @@ def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
                 "_seconds": time.perf_counter() - started,
             }
         except Exception as exc:  # per-cell failure, run continues
-            scores[clf_spec.name] = {
-                "shuffle": shuffle,
-                "fold": fold,
-                "error": f"{type(exc).__name__}: {exc}",
-                "_seconds": time.perf_counter() - started,
-            }
+            scores[clf_spec.name] = _failed_entry(shuffle, fold, exc,
+                                                  time.perf_counter() - started)
     return scores
+
+
+def _failed_entry(shuffle: int, fold: int, exc: Exception, seconds: float) -> dict:
+    return {"shuffle": shuffle, "fold": fold, "error": f"{type(exc).__name__}: {exc}",
+            "_seconds": seconds}
 
 
 def _run_unit(args):
@@ -304,15 +278,7 @@ def _run_unit(args):
         try:
             scores = run_fold(cfg, dataset, plan, oversampler, shuffle, fold)
         except Exception as exc:
-            scores = {
-                clf.name: {
-                    "shuffle": shuffle,
-                    "fold": fold,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "_seconds": 0.0,
-                }
-                for clf in cfg.classifiers
-            }
+            scores = {clf.name: _failed_entry(shuffle, fold, exc, 0.0) for clf in cfg.classifiers}
         out.append(scores)
     return dataset.name, oversampler.name, shuffle, out, time.perf_counter() - started
 
@@ -347,61 +313,47 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1,
         for ovs in cfg.oversamplers
         for shuffle in range(cfg.n_shuffles)
     ]
-    results = []
+    # Cell entries keyed in config order; units run (and map returns them) in
+    # (dataset, oversampler, shuffle) order, so each list ends up in
+    # (shuffle, fold) order.
+    folds = {(d.name, o.name, c.name): [] for d in cfg.datasets
+             for o in cfg.oversamplers for c in cfg.classifiers}
+    unit_seconds = {}
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         for res in (pool.map if pool else map)(_run_unit, units):
-            results.append(res)
+            ds_name, ovs_name, shuffle, fold_list, seconds = res
+            unit_seconds[f"{ds_name}/{ovs_name}/s{shuffle}"] = seconds
+            for scores in fold_list:
+                for clf_name, entry in scores.items():
+                    folds[(ds_name, ovs_name, clf_name)].append(entry)
             if progress:
                 progress(res)
 
-    # assemble cells in config order so output ordering is stable
-    fold_scores: dict[tuple, list] = {}
-    unit_seconds: dict[tuple, float] = {}
-    for ds_name, ovs_name, shuffle, fold_list, seconds in results:
-        unit_seconds[(ds_name, ovs_name, shuffle)] = seconds
-        for scores in fold_list:
-            for clf_name, entry in scores.items():
-                fold_scores.setdefault((ds_name, ovs_name, clf_name), []).append(entry)
-
     cells = []
     timings = {}
-    for d in cfg.datasets:
-        for ovs in cfg.oversamplers:
-            for clf in cfg.classifiers:
-                entries = sorted(
-                    fold_scores.get((d.name, ovs.name, clf.name), []),
-                    key=lambda e: (e["shuffle"], e["fold"]),
-                )
-                seconds = sum(e.pop("_seconds", 0.0) for e in entries)
-                ok = [e for e in entries if "error" not in e]
-                failed = [e for e in entries if "error" in e]
-                cell = {
-                    "dataset": d.name,
-                    "oversampler": ovs.name,
-                    "classifier": clf.name,
-                    "status": "ok" if not failed else "failed",
-                    "folds": entries,
-                }
-                if ok:
-                    f1s = np.array([e["f1"] for e in ok])
-                    kappas = np.array([e["kappa"] for e in ok])
-                    cell.update(
-                        f1_mean=float(f1s.mean()),
-                        f1_std=float(f1s.std(ddof=0)),
-                        kappa_mean=float(kappas.mean()),
-                        kappa_std=float(kappas.std(ddof=0)),
-                    )
-                cells.append(cell)
-                timings[f"{d.name}/{ovs.name}/{clf.name}"] = seconds
+    for (ds_name, ovs_name, clf_name), entries in folds.items():
+        timings[f"{ds_name}/{ovs_name}/{clf_name}"] = sum(e.pop("_seconds") for e in entries)
+        ok = [e for e in entries if "error" not in e]
+        cell = {
+            "dataset": ds_name,
+            "oversampler": ovs_name,
+            "classifier": clf_name,
+            "status": "ok" if len(ok) == len(entries) else "failed",
+            "folds": entries,
+        }
+        if ok:
+            f1s = np.array([e["f1"] for e in ok])
+            kappas = np.array([e["kappa"] for e in ok])
+            cell.update(
+                f1_mean=float(f1s.mean()),
+                f1_std=float(f1s.std(ddof=0)),
+                kappa_mean=float(kappas.mean()),
+                kappa_std=float(kappas.std(ddof=0)),
+            )
+        cells.append(cell)
 
-    report = {
-        "config": cfg.echo(),
-        "fold_indices": fold_indices,
-        "cells": cells,
-    }
-    return report, {"cells": timings, "units": {
-        f"{d}/{o}/s{s}": sec for (d, o, s), sec in sorted(unit_seconds.items())
-    }}
+    report = {"config": asdict(cfg), "fold_indices": fold_indices, "cells": cells}
+    return report, {"cells": timings, "units": unit_seconds}
 
 
 def dump_report(report: dict) -> str:

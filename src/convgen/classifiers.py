@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, require_int
 from .neighborhood import ranked_neighbors
 
 
@@ -28,9 +28,7 @@ class KNNClassifier:
     """Exact Euclidean k-nearest-neighbors with uniform majority vote, k = 5."""
 
     def __init__(self, k: int = 5) -> None:
-        if k < 1:
-            raise DataError(f"k must be >= 1, got {k}")
-        self.k = k
+        self.k = require_int("k", k, 1)
         self._x = None
         self._y = None
 

@@ -19,6 +19,13 @@ class DataError(ValueError):
     """Raised for malformed input files or invalid dataset shapes."""
 
 
+def require_int(key: str, value, minimum: int) -> int:
+    """`value` as an int; it must be an integer (numpy too, not a bool) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise DataError(f"{key} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n_samples, f) float64

@@ -18,13 +18,18 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .data import DataError, Dataset
+from .classifiers import DiscriminatorClassifier
+from .data import DataError, Dataset, require_int
 from .neighborhood import knn_minority, majority_neighborhoods
 from .rng import derive_seed
 
 SIMPLEX_TOL = 1e-5
 LEARNING_RATE = 1e-3
 DISC_HIDDEN = (250, 125, 75)
+# The largest generator _setup builds. Training holds 5 float64 vectors per
+# parameter (params, grads, Adam m and v, the step scratch), 40 bytes each, so
+# this is ~800 MB; neb="min" on a few hundred minority rows goes far past it.
+MAX_GENERATOR_PARAMS = 20_000_000
 
 
 class TrainingError(RuntimeError):
@@ -47,12 +52,14 @@ class ConvGeNConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.neb, str) and self.neb != "min":
-            raise DataError(f'neb must be an integer or "min", got {self.neb!r}')
-        if isinstance(self.neb, int) and self.neb < 2:
-            raise DataError("neb must be >= 2")
-        if self.disc_train_count < 0 or self.neb_epochs < 0:
-            raise DataError("counts must be non-negative")
+        if self.neb != "min":
+            require_int("neb", self.neb, 2)
+        require_int("disc_train_count", self.disc_train_count, 0)
+        require_int("neb_epochs", self.neb_epochs, 0)
+        if self.k_prime is not None:
+            require_int("k_prime", self.k_prime, 1)
+        if not isinstance(self.maj_proximal, bool):
+            raise DataError(f"maj_proximal must be a bool, got {self.maj_proximal!r}")
 
     def resolve_neb(self, minority_count: int) -> int:
         if self.neb == "min":
@@ -119,6 +126,11 @@ class Generator:
         self._k = None
         self._sums = None
 
+    @staticmethod
+    def param_count(neb: int, n_features: int, k_prime: int) -> int:
+        """Conv1D kernel and bias plus the Dense k'f -> neb^2 weights and bias."""
+        return (neb - k_prime + 2) * n_features + (k_prime * n_features + 1) * neb * neb
+
     def forward(self, neighborhood: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (K, C) with C = K^T x neighborhood."""
         if neighborhood.shape != (self.neb, self.n_features):
@@ -181,6 +193,12 @@ class ConvGeNModel:
             raise DataError("ConvGeN needs at least 2 minority samples")
         k_prime = cfg.k_prime if cfg.k_prime is not None else max(1, (self._neb + 1) // 2)
         k_prime = min(k_prime, self._neb - 1)
+        n_params = Generator.param_count(self._neb, dataset.n_features, k_prime)
+        if n_params > MAX_GENERATOR_PARAMS:
+            raise DataError(
+                f"neb={self._neb} needs a generator of {n_params} parameters, over the "
+                f"{MAX_GENERATOR_PARAMS} limit; use a fixed neighbourhood such as neb=5"
+            )
         self.generator = Generator(
             self._neb, dataset.n_features, k_prime,
             seed=derive_seed(cfg.seed, "generator"),
@@ -331,8 +349,6 @@ class ConvGeNModel:
                 pred = doc.forward(features[sel])
                 doc.backward("bce", pred, targets[sel])
                 doc.step(LEARNING_RATE)
-        from .classifiers import DiscriminatorClassifier
-
         return DiscriminatorClassifier(doc)
 
     # -- checkpointing ---------------------------------------------------

@@ -1,14 +1,17 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from convgen.bench import (
+    SPEC_KEYS,
     BenchmarkConfig,
     ClassifierSpec,
     DatasetSpec,
     OversamplerSpec,
+    _check_keys,
     dump_report,
     FoldResult,
     emit_report,
@@ -70,6 +73,37 @@ class TestConfig:
         assert cfg.oversamplers[1].params == {"preset": "min,maj"}
         assert [c.name for c in cfg.classifiers] == ["knn", "lr"]
 
+    def test_bare_kind_strings_in_both_lists(self, tmp_path, toy_csv):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "datasets": [{"path": toy_csv, "label_column": "cls", "minority_label": "pos"}],
+            "oversamplers": ["repeater", {"kind": "interpolation", "k": 3}],
+            "classifiers": ["knn"],
+        }))
+        cfg = BenchmarkConfig.from_json(cfg_path)
+        assert cfg.oversamplers == (OversamplerSpec("repeater", "repeater"),
+                                    OversamplerSpec("interpolation", "interpolation", {"k": 3}))
+        assert cfg.classifiers == (ClassifierSpec("knn", "knn"),)
+
+    def test_duplicate_names_rejected(self, toy_csv):
+        rep, knn = OversamplerSpec("rep", "repeater"), ClassifierSpec("knn", "knn")
+        with pytest.raises(DataError, match="unique"):
+            toy_config(toy_csv, [rep, OversamplerSpec("rep", "interpolation")], [knn])
+        with pytest.raises(DataError, match="unique"):
+            toy_config(toy_csv, [rep], [knn, ClassifierSpec("knn", "logreg")])
+
+    def test_readme_config_block_passes_the_key_gate(self, tmp_path):
+        with open("README.md", encoding="utf-8") as fh:
+            readme = fh.read()
+        block = re.search(r"### Config format\n\n```json\n(.*?)```", readme, re.S).group(1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(block)
+        cfg = BenchmarkConfig.from_json(cfg_path)
+        specs = cfg.oversamplers + cfg.classifiers
+        assert {spec.kind for spec in specs} <= set(SPEC_KEYS)
+        for spec in specs:
+            _check_keys(spec)
+
     def test_env_seed_override(self, tmp_path, toy_csv, monkeypatch):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -115,18 +149,13 @@ class TestOversampleFold:
         assert set(res.provenance) <= set(train_ids)
         assert res.doc_factory is not None
 
-    def test_unknown_convgen_key_rejected(self, toy_dataset):
-        plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
-        train_ids = plan.train_indices(0, 0)
-        spec = OversamplerSpec("cg", "convgen", {"neb_epoch": 1})
-        with pytest.raises(TypeError, match="neb_epoch"):
-            oversample_fold(spec, toy_dataset.subset(train_ids), train_ids, 4, seed=3)
-
     @pytest.mark.parametrize("kind,params,key", [
         ("repeater", {"k": 3}, "k"),
         ("interpolation", {"kk": 1}, "kk"),
         ("gan", {"epochs": 2, "lr": 0.1}, "lr"),
         ("from-file", {"path": "rows.csv", "rows": 3}, "rows"),
+        ("convgen", {"neb_epoch": 1}, "neb_epoch"),
+        ("convgen", {"preset": "5,maj", "seed": 3}, "seed"),
     ])
     def test_unknown_key_rejected(self, toy_dataset, kind, params, key):
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
@@ -150,6 +179,25 @@ class TestOversampleFold:
         train_ids = plan.train_indices(0, 0)
         with pytest.raises(DataError, match=f"{key} must be an integer >= 1, got {value!r}"):
             oversample_fold(OversamplerSpec("o", kind, {key: value}),
+                            toy_dataset.subset(train_ids), train_ids, 4, seed=3)
+
+    @pytest.mark.parametrize("key,value", [
+        ("maj_proximal", "no"),
+        ("disc_train_count", True),
+        ("neb_epochs", 2.5),
+        ("neb_epochs", "2"),
+        ("neb", 5.0),
+        ("neb", True),
+        ("k_prime", 1.5),
+        ("k_prime", 0),
+        ("maj_proximal", 1),
+        ("disc_train_count", -1),
+    ])
+    def test_convgen_value_types_rejected(self, toy_dataset, key, value):
+        plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
+        train_ids = plan.train_indices(0, 0)
+        with pytest.raises(DataError, match=re.escape(key) + ".*" + re.escape(repr(value))):
+            oversample_fold(OversamplerSpec("cg", "convgen", {key: value}),
                             toy_dataset.subset(train_ids), train_ids, 4, seed=3)
 
     def test_from_file_cycles_rows(self, tmp_path, toy_dataset):

@@ -104,7 +104,7 @@ class TestKnn:
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_rejected(self, k):
-        with pytest.raises(DataError, match="k must be >= 1"):
+        with pytest.raises(DataError, match=f"k must be an integer >= 1, got {k}"):
             KNNClassifier(k=k)
 
     def test_feature_width_mismatch(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convgen.data import (
     DataError,
@@ -11,6 +13,15 @@ from convgen.data import (
     stratified_kfold,
     unscale,
 )
+
+
+@st.composite
+def fold_case(draw):
+    """(n_folds, n_shuffles, seed, labels) with at least n_folds minority rows."""
+    n_folds = draw(st.integers(1, 5))
+    n_min, n_maj = draw(st.integers(n_folds, 12)), draw(st.integers(1, 25))
+    labels = draw(st.permutations([1] * n_min + [0] * n_maj))
+    return n_folds, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)), np.array(labels)
 
 
 def write_csv(path, text):
@@ -124,6 +135,21 @@ class TestStratifiedKFold:
         for i in range(5):
             for j in range(i + 1, 5):
                 assert not np.array_equal(plan.assignments[i], plan.assignments[j])
+
+    @settings(deadline=None, max_examples=60)
+    @given(fold_case())
+    def test_fold_invariants_on_random_shapes(self, case):
+        n_folds, n_shuffles, seed, labels = case
+        ds = Dataset(np.zeros((len(labels), 1)), labels)
+        plan = stratified_kfold(ds, n_folds, n_shuffles, seed)
+        for s in range(n_shuffles):
+            tests = [plan.test_indices(s, k) for k in range(n_folds)]
+            assert sorted(np.concatenate(tests)) == list(range(len(labels)))
+            for cls in (0, 1):
+                sizes = [int(np.sum(labels[t] == cls)) for t in tests]
+                assert max(sizes) - min(sizes) <= 1
+        again = stratified_kfold(ds, n_folds, n_shuffles, seed)
+        assert np.array_equal(plan.assignments, again.assignments)
 
     def test_minority_smaller_than_folds_rejected(self, toy_dataset):
         with pytest.raises(DataError, match="smaller than n_folds"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convgen.metrics import ConfusionMatrix, MetricError, cohen_kappa, confusion, f1_minority
 
@@ -140,3 +142,22 @@ class TestKappa:
             if abs(f1_minority(swapped) - f1_minority(cm)) > 1e-9:
                 swapped_differs = True
         assert swapped_differs  # F1 is positive-class specific
+
+
+counts = st.integers(0, 10**6)
+
+
+class TestMetricProperties:
+    @settings(deadline=None, max_examples=300)
+    @given(counts, counts, counts, counts)
+    def test_scores_stay_in_range(self, tp, fp, fn, tn):
+        if tp + fp + fn + tn == 0:
+            tn = 1
+        cm = ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+        assert 0.0 <= f1_minority(cm) <= 1.0
+        assert -1.0 <= cohen_kappa(cm) <= 1.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 10**6), st.integers(1, 10**6))
+    def test_perfect_diagonal_with_both_classes_is_kappa_one(self, tp, tn):
+        assert cohen_kappa(ConfusionMatrix(tp=tp, fp=0, fn=0, tn=tn)) == 1.0

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from convgen.data import DataError, Dataset
+from convgen.data import DataError, Dataset, load_csv
 from convgen.model import (
+    MAX_GENERATOR_PARAMS,
     ConvGeNConfig,
     ConvGeNModel,
     Generator,
@@ -39,6 +41,43 @@ class TestConfig:
             ConvGeNConfig(neb=1)
         with pytest.raises(DataError):
             ConvGeNConfig(neb="max")
+
+    def test_numpy_integers_and_none_accepted(self):
+        cfg = ConvGeNConfig(neb=np.int64(5), neb_epochs=np.int32(0), k_prime=None)
+        assert cfg.resolve_neb(12) == 5
+
+
+class TestGeneratorSizeGuard:
+    def test_param_count_matches_the_built_network(self):
+        for neb, f, k_prime in [(6, 4, 3), (5, 8, 1), (34, 8, 17)]:
+            gen = Generator(neb, f, k_prime, seed=0)
+            assert Generator.param_count(neb, f, k_prime) == gen.net.params.size
+
+    def test_neb_min_on_a_large_minority_fails_before_allocating(self, monkeypatch):
+        import convgen.model as model_mod
+
+        class Unbuilt(Generator):
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("the generator was built")
+
+        # without the guard the stub fails the test instead of allocating ~5 GB
+        monkeypatch.setattr(model_mod, "Generator", Unbuilt)
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.normal(size=(600, 10)), np.repeat([0, 1], 300))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="neb=5"):
+                ConvGeNModel(ConvGeNConfig(neb="min")).fit(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the generator alone would be ~1 GB of weights
+
+    @pytest.mark.parametrize("path", ["datasets/abalone9-18.csv", "datasets/yeast6.csv"])
+    def test_bundled_datasets_stay_far_below_the_limit(self, path):
+        ds = load_csv(path, "label", "1")
+        neb = ds.minority_count  # neb="min" on the whole dataset
+        assert Generator.param_count(neb, ds.n_features, (neb + 1) // 2) < MAX_GENERATOR_PARAMS / 50
 
 
 class TestGeneratorForward:
@@ -78,6 +117,27 @@ class TestGeneratorForward:
             assert k.sum(axis=0) == pytest.approx(np.ones(6), abs=1e-5)
             # reconstruction from recorded coefficients
             assert np.max(np.abs(k.T @ n - c)) < 1e-9
+
+    def test_dead_column_is_uniform_and_gets_no_gradient(self):
+        neb, f, k_prime, dead = 4, 3, 2, 1
+        gen = Generator(neb, f, k_prime, seed=0)
+        dense = gen.net.layers[-1]
+        w = dense.w.reshape(k_prime * f, neb, neb)
+        b = dense.b.reshape(neb, neb)
+        w[:, :, dead] = 0.0
+        b[...] = 10.0
+        b[:, dead] = -1.0  # every logit of column `dead` is -1
+        n = np.random.default_rng(1).normal(size=(neb, f))
+        k, c = gen.forward(n)
+        assert np.all(k[:, dead] == 1.0 / neb)
+        assert np.allclose(c[dead], n.mean(axis=0))  # the neighbourhood centroid
+
+        gen.backward_from_dk(np.random.default_rng(2).normal(size=(neb, neb)))
+        gw = dense.gw.reshape(k_prime * f, neb, neb)
+        gb = dense.gb.reshape(neb, neb)
+        assert np.all(gw[:, :, dead] == 0.0) and np.all(gb[:, dead] == 0.0)
+        live = [g for g in range(neb) if g != dead]
+        assert np.any(gw[:, :, live] != 0.0) and np.any(gb[:, live] != 0.0)
 
     def test_wrong_neighborhood_shape(self):
         gen = Generator(neb=4, n_features=3, k_prime=2, seed=0)
