@@ -119,8 +119,7 @@ class Gan:
                 g_pred = self.discriminator.forward(fake)
                 g_loss = nn.loss_value("bce", g_pred, np.ones((m, 1)))
                 grad = nn.loss_grad("bce", g_pred, np.ones((m, 1)))
-                d_input_grad = self.discriminator.backward_from(grad)
-                self.discriminator.zero_grad()
+                d_input_grad = self.discriminator.backward_from(grad, input_only=True)
                 self.generator.backward_from(d_input_grad)
                 self.generator.step(self.cfg.lr)
 
@@ -134,7 +133,9 @@ class Gan:
             return np.empty((0, self.cfg.n_features))
         rng = np.random.default_rng(self.cfg.seed + 2)
         noise = rng.uniform(-1.0, 1.0, size=(n_synthetic, self.cfg.noise_size))
-        return unscale(self.generator.forward(noise), self.alpha)
+        # widen before unscaling: |row| <= 1 then gives |row * alpha| <= alpha in
+        # float64, which a product rounded in float32 can exceed
+        return unscale(self.generator.forward(noise).astype(np.float64), self.alpha)
 
 
 def load_synthetic_csv(path, n_features: int) -> np.ndarray:

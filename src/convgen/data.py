@@ -8,6 +8,7 @@ the alpha scaling used by the GAN baseline.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,25 +49,32 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    @property
+    # Computed once per Dataset; the index arrays are read-only because every
+    # caller shares them.
+    @functools.cached_property
     def minority_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == 1)
+        return _read_only(np.flatnonzero(self.labels == 1))
 
-    @property
+    @functools.cached_property
     def majority_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == 0)
+        return _read_only(np.flatnonzero(self.labels == 0))
 
-    @property
+    @functools.cached_property
     def minority_count(self) -> int:
-        return int(np.sum(self.labels == 1))
+        return len(self.minority_indices)
 
-    @property
+    @functools.cached_property
     def majority_count(self) -> int:
-        return int(np.sum(self.labels == 0))
+        return len(self.majority_indices)
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
         return Dataset(self.features[idx], self.labels[idx], self.name)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Dataset:

@@ -23,12 +23,13 @@ from .data import DataError, Dataset, require_int
 from .neighborhood import knn_minority, majority_neighborhoods
 from .rng import derive_seed
 
+CHECKPOINT_FORMAT = "convgen-checkpoint-v2"
 SIMPLEX_TOL = 1e-5
 LEARNING_RATE = 1e-3
 DISC_HIDDEN = (250, 125, 75)
-# The largest generator _setup builds. Training holds 5 float64 vectors per
-# parameter (params, grads, Adam m and v, the step scratch), 40 bytes each, so
-# this is ~800 MB; neb="min" on a few hundred minority rows goes far past it.
+# The largest generator _setup builds. Training holds 5 float32 vectors per
+# parameter (params, grads, Adam m and v, the step scratch), 20 bytes each, so
+# this is ~400 MB; neb="min" on a few hundred minority rows goes far past it.
 MAX_GENERATOR_PARAMS = 20_000_000
 
 
@@ -105,7 +106,12 @@ def check_simplex(k: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
 
 
 class Generator:
-    """conv1d reduction -> dense -> ReLU -> column normalization -> K."""
+    """conv1d reduction -> dense -> ReLU -> column normalization -> K.
+
+    The network runs in the engine's dtype; its neb x neb logits are widened
+    to float64 once, so K, its normalization and C = K^T x neighborhood are
+    float64 and C lies in the hull of the float64 dataset rows.
+    """
 
     def __init__(self, neb: int, n_features: int, k_prime: int, seed: int) -> None:
         if not 1 <= k_prime < neb:
@@ -137,7 +143,7 @@ class Generator:
             raise DataError(
                 f"neighborhood must be {(self.neb, self.n_features)}, got {neighborhood.shape}"
             )
-        logits = self.net.forward(neighborhood).reshape(self.neb, self.gen)
+        logits = self.net.forward(neighborhood).reshape(self.neb, self.gen).astype(np.float64)
         pos = np.maximum(logits, 0.0)
         sums = pos.sum(axis=0)
         k = np.where(sums > 0.0, pos / np.where(sums > 0.0, sums, 1.0), 1.0 / self.neb)
@@ -261,9 +267,8 @@ class ConvGeNModel:
         pred = self.discriminator.forward(concat)
         loss = nn.loss_value("mse", pred, self._labels)
         grad = nn.loss_grad("mse", pred, self._labels)
-        d_input_grad = self.discriminator.backward_from(grad)
-        self.discriminator.zero_grad()  # D stays frozen in this step
-        dc = d_input_grad[: self._neb]
+        # D stays frozen in this step: only the gradient w.r.t. its input
+        dc = self.discriminator.backward_from(grad, input_only=True)[: self._neb]
         self.generator.backward_from_dk(self.dataset.features[min_ids] @ dc.T)
         self.generator.step(LEARNING_RATE)
         return loss
@@ -356,10 +361,9 @@ class ConvGeNModel:
     def save(self, path) -> None:
         self._require_fitted()
         payload = {
-            "format": "convgen-checkpoint-v1",
+            "format": CHECKPOINT_FORMAT,
             "config": {**asdict(self.config), "k_prime": self.generator.k_prime},
-            "resolved_neb": self._neb,
-            "n_features": self.dataset.n_features,
+            "training_data_sha256": _fingerprint(self.dataset),
             "generator": _dump_network(self.generator.net),
             "discriminator": _dump_network(self.discriminator),
         }
@@ -371,31 +375,38 @@ class ConvGeNModel:
         """Restore weights; `dataset` must be the training data the model saw."""
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        if payload.get("format") != "convgen-checkpoint-v1":
-            raise DataError(f"{path}: not a recognized checkpoint")
+        fmt = payload.get("format")
+        if fmt != CHECKPOINT_FORMAT:
+            raise DataError(
+                f"{path}: checkpoint format {fmt!r} is not {CHECKPOINT_FORMAT!r}; "
+                "retrain and save the model again"
+            )
+        if payload["training_data_sha256"] != _fingerprint(dataset):
+            raise DataError(f"{path}: checkpoint does not match this training data")
         model = ConvGeNModel(ConvGeNConfig(**payload["config"]))
         model._setup(dataset)
-        if model._neb != payload["resolved_neb"] or dataset.n_features != payload["n_features"]:
-            raise DataError(f"{path}: checkpoint does not match this dataset")
-        _load_network(model.generator.net, payload["generator"])
-        _load_network(model.discriminator, payload["discriminator"])
+        _load_network(model.generator.net, payload["generator"], path)
+        _load_network(model.discriminator, payload["discriminator"], path)
         return model
 
 
-def _dump_network(net: nn.Network) -> list:
-    return [
-        [name, p.tolist()]
-        for layer in net.layers
-        for name, p, _ in layer.params()
-    ]
+def _fingerprint(dataset: Dataset) -> str:
+    """sha256 of the training features (float64) and labels (int64)."""
+    import hashlib  # here, not at the top: loading it adds ~7 ms to every start-up
+
+    digest = hashlib.sha256(np.ascontiguousarray(dataset.features, np.float64).tobytes())
+    digest.update(np.ascontiguousarray(dataset.labels, np.int64).tobytes())
+    return digest.hexdigest()
 
 
-def _load_network(net: nn.Network, dumped: list) -> None:
-    params = [(name, p) for layer in net.layers for name, p, _ in layer.params()]
-    if len(params) != len(dumped):
-        raise DataError("checkpoint parameter count mismatch")
-    for (name, p), (saved_name, values) in zip(params, dumped):
-        arr = np.array(values, dtype=np.float64)
-        if name != saved_name or arr.shape != p.shape:
-            raise DataError(f"checkpoint parameter {saved_name!r} has wrong shape")
-        p[...] = arr
+def _dump_network(net: nn.Network) -> dict:
+    return {"dtype": net.params.dtype.name, "params": net.params.tolist()}
+
+
+def _load_network(net: nn.Network, dumped: dict, path) -> None:
+    if dumped["dtype"] != net.params.dtype.name or len(dumped["params"]) != net.params.size:
+        raise DataError(
+            f"{path}: checkpoint holds {len(dumped['params'])} {dumped['dtype']} parameters, "
+            f"the network {net.params.size} {net.params.dtype.name}"
+        )
+    net.params[...] = dumped["params"]

@@ -1,26 +1,34 @@
 """Minimal dense/conv1d neural network engine with reverse-mode gradients.
 
-All arithmetic is float64. A Network owns one flat parameter vector and
-one flat gradient vector; each layer's weights and gradients are reshaped
-views into them. Forward passes cache activations on the layer objects,
-backward accumulates into the gradient views, and the Adam step updates
-the whole parameter vector at once.
+A Network owns one flat parameter vector, one flat gradient vector and the
+flat Adam moments, all in the network's dtype: `DTYPE` (float32) unless a
+caller asks for another, as `grad_check` does with float64. Each layer's
+weights and gradients are reshaped views into the flat vectors. Inputs,
+targets and upstream gradients are cast to the network's dtype once, where
+they enter `forward`, `backward` and `backward_from`, so a training step
+runs in one dtype from the input to the loss. Forward passes cache
+activations on the layer objects, backward accumulates into the gradient
+views, and the Adam step updates the whole parameter vector at once.
 
 Defaults the source material leaves open: Adam (beta1=0.9, beta2=0.999,
-eps=1e-8, lr=1e-3), Glorot-uniform init, BCE probabilities clamped to
-[1e-7, 1 - 1e-7].
+eps=1e-8, lr=1e-3) with the bias correction folded into the step size,
+Glorot-uniform init, BCE probabilities clamped to [1e-7, 1 - 1e-7].
 """
 
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 
+DTYPE = np.float32
 BCE_EPS = 1e-7
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Steps between flushes of subnormal Adam first moments to zero (see step).
+ADAM_FLUSH_EVERY = 64
 
 
 class NNError(Exception):
@@ -31,7 +39,10 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(z, 0.0)
     if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        # exp(-z) overflows to inf for z below about -88 in float32 (-709 in
+        # float64), and 1 / (1 + inf) is then exactly the limit 0
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z))
     if name == "softsign":
         return z / (np.abs(z) + 1.0)
     if name == "softmax":
@@ -82,12 +93,14 @@ class Dense:
         self._a = activate(self.activation, x @ self.w + self.b)
         return self._a
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
+        """dL/d(input); also accumulates the weight gradients unless input_only."""
         if self._x is None:
             raise NNError("backward before forward on dense layer")
         gz = activation_backward(self.activation, self._a, grad_out)
-        self.gw += self._x.T @ gz
-        self.gb += gz.sum(axis=0)
+        if not input_only:
+            self.gw += self._x.T @ gz
+            self.gb += gz.sum(axis=0)
         return gz @ self.w.T
 
     def params(self):
@@ -125,21 +138,24 @@ class Conv1D:
                 f"conv1d layer expects {(self.rows_in, self.features)}, got {x.shape}"
             )
         self._x = x
-        z = np.empty((self.rows_out, self.features))
+        z = np.empty((self.rows_out, self.features), dtype=x.dtype)
         for j in range(self.rows_out):
             z[j] = (x[j:j + self.kernel_rows] * self.w).sum(axis=0) + self.b
         self._a = activate(self.activation, z)
         return self._a
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
+        """dL/d(input); also accumulates the weight gradients unless input_only."""
         if self._x is None:
             raise NNError("backward before forward on conv1d layer")
         gz = activation_backward(self.activation, self._a, grad_out)
         gx = np.zeros_like(self._x)
         for j in range(self.rows_out):
-            self.gw += gz[j] * self._x[j:j + self.kernel_rows]
             gx[j:j + self.kernel_rows] += gz[j] * self.w
-        self.gb += gz.sum(axis=0)
+        if not input_only:
+            for j in range(self.rows_out):
+                self.gw += gz[j] * self._x[j:j + self.kernel_rows]
+            self.gb += gz.sum(axis=0)
         return gx
 
     def params(self):
@@ -156,7 +172,7 @@ class Flatten:
         self._shape = x.shape
         return x.reshape(1, -1)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
         if self._shape is None:
             raise NNError("backward before forward on flatten layer")
         return grad_out.reshape(self._shape)
@@ -188,12 +204,12 @@ def loss_grad(kind: str, predicted: np.ndarray, target: np.ndarray) -> np.ndarra
 class Network:
     """Ordered layer stack with cached forward, backward, and Adam updates."""
 
-    def __init__(self, layers) -> None:
+    def __init__(self, layers, dtype=DTYPE) -> None:
         self.layers = list(layers)
         slots = [(layer, name, p) for layer in self.layers for name, p, _ in layer.params()]
         size = sum(p.size for _, _, p in slots)
-        self.params = np.empty(size)
-        self.grads = np.zeros(size)
+        self.params = np.empty(size, dtype)
+        self.grads = np.zeros(size, dtype)
         start = 0
         for layer, name, p in slots:
             end = start + p.size
@@ -203,11 +219,12 @@ class Network:
             setattr(layer, "g" + name, self.grads[start:end].reshape(p.shape))
             start = end
         self._adam_t = 0
-        self._adam_m = np.zeros(size)
-        self._adam_v = np.zeros(size)
+        self._adam_m = np.zeros(size, dtype)
+        self._adam_v = np.zeros(size, dtype)
         self._has_grads = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=self.params.dtype)
         for i, layer in enumerate(self.layers):
             try:
                 x = layer.forward(x)
@@ -219,20 +236,26 @@ class Network:
 
     def backward(self, loss: str, predicted: np.ndarray, target: np.ndarray) -> float:
         """Accumulate dL/dparam into the gradient vector; returns the loss value."""
+        target = np.asarray(target, dtype=self.params.dtype)
         value = loss_value(loss, predicted, target)
         if not np.isfinite(value):
             raise NNError(f"non-finite {loss} loss")
         self.backward_from(loss_grad(loss, predicted, target))
         return value
 
-    def backward_from(self, grad_out: np.ndarray) -> np.ndarray:
-        """Backpropagate an upstream gradient; returns dL/d(input)."""
+    def backward_from(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
+        """Backpropagate an upstream gradient; returns dL/d(input).
+
+        With input_only the weight gradients are neither computed nor
+        accumulated, so a frozen network needs no zero_grad afterwards.
+        """
+        grad_out = np.asarray(grad_out, dtype=self.params.dtype)
         for i in reversed(range(len(self.layers))):
             try:
-                grad_out = self.layers[i].backward(grad_out)
+                grad_out = self.layers[i].backward(grad_out, input_only)
             except NNError as exc:
                 raise NNError(f"layer {i}: {exc}") from None
-        self._has_grads = True
+        self._has_grads = self._has_grads or not input_only
         return grad_out
 
     def zero_grad(self) -> None:
@@ -242,30 +265,40 @@ class Network:
     def step(self, lr: float = 1e-3) -> None:
         """One Adam update from the accumulated gradients; zeroes them after.
 
-        Computes p -= lr * m_hat / (sqrt(v_hat) + eps) in place, in that operand
-        order, with the spent gradient vector as the second scratch buffer.
+        The bias correction is folded into the step size and epsilon (Kingma
+        & Ba, Adam, section 2): p -= lr_t * m / (sqrt(v) + eps_t) with
+        lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+        eps_t = eps * sqrt(1 - beta2^t), computed in place in that operand
+        order with the spent gradient vector as the second scratch buffer.
+        Every ADAM_FLUSH_EVERY steps, first moments below the dtype's smallest
+        normal number are set to zero beforehand.
         """
         if not self._has_grads:
             raise NNError("optimizer step before backward")
         self._adam_t += 1
         t = self._adam_t
+        root = math.sqrt(1.0 - ADAM_BETA2 ** t)
+        lr_t = lr * root / (1.0 - ADAM_BETA1 ** t)
         g, m, v, s = self.grads, self._adam_m, self._adam_v, np.empty_like(self.grads)
+        if t % ADAM_FLUSH_EVERY == 0:
+            # A dead ReLU unit gets exactly zero gradient, so its m decays by
+            # beta1 per step into the float32 subnormal range, where arithmetic
+            # runs several times slower; a zeroed m then stays zero.
+            m[np.abs(m) < np.finfo(m.dtype).tiny] = 0.0
         m *= ADAM_BETA1
         m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
         v *= ADAM_BETA2
         np.multiply(1.0 - ADAM_BETA2, g, out=s)
         v += np.multiply(s, g, out=s)
-        np.divide(m, 1.0 - ADAM_BETA1 ** t, out=g)
-        g *= lr
-        np.divide(v, 1.0 - ADAM_BETA2 ** t, out=s)
-        np.sqrt(s, out=s)
-        s += ADAM_EPS
+        np.sqrt(v, out=s)
+        s += ADAM_EPS * root
+        np.multiply(lr_t, m, out=g)
         self.params -= np.divide(g, s, out=g)
         self.zero_grad()
 
     def clone(self) -> "Network":
-        """A network with copies of the layers and a fresh optimizer."""
-        return Network(copy.deepcopy(self.layers))
+        """A network with copies of the layers, in the same dtype, and a fresh optimizer."""
+        return Network(copy.deepcopy(self.layers), self.params.dtype)
 
 
 def dense_network(sizes, activations, seed: int) -> Network:
@@ -282,14 +315,16 @@ def dense_network(sizes, activations, seed: int) -> Network:
 
 def grad_check(net: Network, loss: str, x: np.ndarray, target: np.ndarray,
                epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between analytic and central-difference gradients.
+
+    Both are taken on a float64 copy of `net`, which is left untouched.
+    """
     if epsilon <= 0:
         raise NNError("epsilon must be positive")
-    net.zero_grad()
+    net = Network(copy.deepcopy(net.layers), np.float64)
     pred = net.forward(x)
     net.backward(loss, pred, target)
-    analytic = net.grads.copy()
-    net.zero_grad()
+    analytic = net.grads
 
     worst = 0.0
     p = net.params

@@ -90,6 +90,19 @@ class TestGan:
         rows = gan.generate(100)
         assert np.max(np.abs(rows)) <= gan.alpha.alpha
 
+    def test_saturated_generator_stays_within_alpha_in_float64(self):
+        # a huge last layer drives softsign to +-1 in float32; the bound must
+        # hold for the float64 rows the harness receives
+        over = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            minority = rng.normal(scale=rng.uniform(0.5, 50.0), size=(6, 3))
+            gan = Gan(GanConfig(n_features=3, epochs=1, seed=seed)).train(minority)
+            gan.generator.layers[-1].w *= 1e9
+            rows = gan.generate(50)
+            over += int(np.sum(np.abs(rows.astype(np.float64)) > gan.alpha.alpha))
+        assert over == 0
+
     def test_scaling_round_trip(self):
         feats = np.random.default_rng(6).normal(scale=4.0, size=(25, 3))
         info = compute_alpha(feats)

@@ -23,7 +23,7 @@ from convgen.bench import (
     run_fold,
 )
 from convgen.classifiers import KNNClassifier
-from convgen.data import DataError, stratified_kfold
+from convgen.data import DataError, Dataset, stratified_kfold
 from convgen.metrics import cohen_kappa, confusion, f1_minority
 from convgen.rng import derive_seed
 
@@ -219,6 +219,44 @@ class TestOversampleFold:
         with pytest.raises(DataError):
             oversample_fold(OversamplerSpec("x", "smote"),
                             toy_dataset.subset(train_ids), train_ids, 4, 1)
+
+
+def degenerate_dataset(case):
+    """30 majority rows and a minority class that is degenerate in one way."""
+    rng = np.random.default_rng(17)
+    majority = rng.normal(size=(30, 3))
+    minority = rng.normal(2.0, 0.5, size=(8, 3))
+    if case == "two-row-minority":
+        minority = minority[:2]
+    elif case == "identical-minority":
+        minority = np.repeat(minority[:1], 6, axis=0)
+    features = np.vstack([majority, minority])
+    if case == "constant-column":
+        features[:, 1] = 4.0
+    elif case == "scale-1e12":
+        features *= 1e12
+    return Dataset(features, np.array([0] * 30 + [1] * len(minority)), case)
+
+
+class TestDegenerateData:
+    @pytest.mark.parametrize("case", [
+        "two-row-minority", "identical-minority", "constant-column", "scale-1e12",
+    ])
+    @pytest.mark.parametrize("spec", [
+        OversamplerSpec("cg", "convgen", {"preset": "5,maj", "neb_epochs": 2}),
+        OversamplerSpec("cg", "convgen", {"preset": "min,prox", "neb_epochs": 2}),
+        OversamplerSpec("gan", "gan", {"epochs": 20}),
+    ], ids=["convgen-5-maj", "convgen-min-prox", "gan"])
+    def test_trains_to_finite_output(self, case, spec):
+        train = degenerate_dataset(case)
+        n_syn = train.majority_count - train.minority_count
+        res = oversample_fold(spec, train, np.arange(train.n_samples), n_syn, seed=5)
+        assert res.synthetic.shape == (n_syn, train.n_features)
+        assert np.all(np.isfinite(res.synthetic))
+        if res.doc_factory is not None:
+            doc = res.doc_factory()
+            assert np.all(np.isfinite(doc.network.forward(train.features)))
+            assert set(doc.predict(train.features)) <= {0, 1}
 
 
 class TestMakeClassifier:

@@ -66,6 +66,19 @@ class TestLoadCsv:
             load_csv(path, "y", "1")
 
 
+class TestClassIndices:
+    def test_computed_once_and_read_only(self, toy_dataset):
+        ds = toy_dataset
+        assert ds.minority_indices is ds.minority_indices
+        assert ds.majority_indices is ds.majority_indices
+        assert np.array_equal(ds.minority_indices, np.flatnonzero(ds.labels == 1))
+        assert np.array_equal(ds.majority_indices, np.flatnonzero(ds.labels == 0))
+        assert (ds.minority_count, ds.majority_count) == (12, 60)
+        for indices in (ds.minority_indices, ds.majority_indices):
+            with pytest.raises(ValueError, match="read-only"):
+                indices[0] = 0
+
+
 class TestImbalanceRatio:
     def test_abalone_ratio(self, abalone_path):
         ds = load_csv(abalone_path, "label", "1")

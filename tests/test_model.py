@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from convgen.data import DataError, Dataset, load_csv
 from convgen.model import (
@@ -331,3 +333,52 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format": "other"}), encoding="utf-8")
         with pytest.raises(DataError, match="checkpoint"):
             ConvGeNModel.load(path, two_blob_dataset())
+
+    def test_v1_file_rejected_by_its_format(self, tmp_path):
+        model, ds = fitted_toy_model(epochs=1)
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["format"] = "convgen-checkpoint-v1"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="'convgen-checkpoint-v1'"):
+            ConvGeNModel.load(path, ds)
+
+    def test_same_shape_other_data_rejected(self, tmp_path):
+        model, ds = fitted_toy_model(epochs=1)
+        path = tmp_path / "model.json"
+        model.save(path)
+        features = ds.features.copy()
+        features[0, 0] += 1e-9
+        for other in (Dataset(features, ds.labels, ds.name),
+                      Dataset(ds.features, ds.labels[::-1].copy(), ds.name)):
+            with pytest.raises(DataError, match="does not match"):
+                ConvGeNModel.load(path, other)
+
+    def test_stores_one_flat_vector_per_network(self, tmp_path):
+        model, _ = fitted_toy_model(epochs=1)
+        path = tmp_path / "model.json"
+        model.save(path)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        assert payload["format"] == "convgen-checkpoint-v2"
+        for key, net in (("generator", model.generator.net), ("discriminator", model.discriminator)):
+            assert payload[key]["dtype"] == "float32"
+            assert np.array(payload[key]["params"], np.float32).tobytes() == net.params.tobytes()
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(neb=st.integers(2, 7), f=st.integers(1, 4), k_prime=st.integers(1, 6),
+           seed=st.integers(0, 2**16))
+    def test_round_trip_generates_identical_rows(self, tmp_path, neb, f, k_prime, seed):
+        rng = np.random.default_rng(seed)
+        n_min = neb + int(rng.integers(0, 3))
+        ds = Dataset(rng.normal(size=(n_min + 10, f)), np.array([1] * n_min + [0] * 10))
+        cfg = ConvGeNConfig(neb=neb, k_prime=min(k_prime, neb - 1), neb_epochs=1,
+                            disc_train_count=1, seed=seed)
+        model = ConvGeNModel(cfg).fit(ds)
+        path = tmp_path / "model.json"
+        model.save(path)
+        restored = ConvGeNModel.load(path, ds)
+        for before, after in zip(model.generate(3 * neb), restored.generate(3 * neb), strict=True):
+            assert before.samples.tobytes() == after.samples.tobytes()
+            assert before.coefficients.tobytes() == after.coefficients.tobytes()

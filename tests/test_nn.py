@@ -1,3 +1,7 @@
+import copy
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +73,15 @@ class TestActivationRanges:
     def test_ranges(self, name, check):
         z = np.random.default_rng(5).normal(scale=10.0, size=(100, 7))
         assert check(nn.activate(name, z))
+
+    @pytest.mark.parametrize("dtype,z", [(np.float32, -200.0), (np.float64, -1000.0)])
+    def test_sigmoid_saturates_without_overflow_warning(self, dtype, z):
+        x = np.array([z, 0.0, -z], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a = nn.activate("sigmoid", x)
+        assert a.dtype == dtype
+        assert a.tolist() == [0.0, 0.5, 1.0]
 
     def test_softmax_rows_are_distributions(self):
         z = np.random.default_rng(6).normal(scale=10.0, size=(50, 4))
@@ -144,6 +157,18 @@ class TestOptimizer:
             net.step()
         assert net.layers[0].w[0, 0] < start
 
+    def test_subnormal_first_moments_are_flushed(self):
+        net = single_dense(2, 2, "identity")
+        tiny = np.finfo(np.float32).tiny
+        net._adam_m[:2] = [tiny / 8, 1e-30]  # a subnormal and a small normal moment
+        for t in range(1, nn.ADAM_FLUSH_EVERY + 1):
+            if t == nn.ADAM_FLUSH_EVERY:
+                assert 0.0 < net._adam_m[0] < tiny
+            net._has_grads = True  # zero gradient, as a dead ReLU unit gets
+            net.step()
+        assert net._adam_m[0] == 0.0
+        assert net._adam_m[1] == pytest.approx(1e-30 * 0.9 ** nn.ADAM_FLUSH_EVERY, rel=1e-5)
+
     def test_quadratic_bowl_converges_to_minimum(self):
         # loss (w - 3)^2 realized as mse of a bias-only model against y = 3
         net = single_dense(1, 1, "identity", weights=[[0.0]], bias=[0.0])
@@ -195,9 +220,8 @@ class TestGradCheck:
             grad_check(net, "mse", np.ones((1, 1)), np.ones((1, 1)), epsilon=0.0)
 
 
-def reference_adam_step(params, grads, m, v, t, lr):
-    """Textbook Adam (Kingma & Ba, Alg. 1), one parameter array at a time: the
-    reference the whole-vector update must match bit for bit."""
+def textbook_adam_step(params, grads, m, v, t, lr):
+    """Textbook Adam (Kingma & Ba, Alg. 1), one parameter array at a time."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     for p, g, mi, vi in zip(params, grads, m, v):
         mi *= beta1
@@ -207,6 +231,21 @@ def reference_adam_step(params, grads, m, v, t, lr):
         m_hat = mi / (1.0 - beta1 ** t)
         v_hat = vi / (1.0 - beta2 ** t)
         p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def folded_adam_step(params, grads, m, v, t, lr):
+    """Adam with the bias correction folded into the step size and epsilon
+    (Kingma & Ba, section 2), one parameter array at a time: the reference the
+    whole-vector update must match bit for bit."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    root = math.sqrt(1.0 - beta2 ** t)
+    lr_t = lr * root / (1.0 - beta1 ** t)
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi *= beta1
+        mi += (1.0 - beta1) * g
+        vi *= beta2
+        vi += (1.0 - beta2) * g * g
+        p -= lr_t * mi / (np.sqrt(vi) + eps * root)
 
 
 def conv_dense_case(seed=21):
@@ -228,6 +267,23 @@ def dense_case(seed=22):
     return net, batch, "bce"
 
 
+def adam_pairs(net, batch, loss, reference, steps=25):
+    """After each of `steps` Adam steps: the network's params and those of the
+    per-array `reference` fed the same gradients."""
+    slots = [(p, g) for layer in net.layers for _, p, g in layer.params()]
+    ref = [p.copy() for p, _ in slots]
+    m = [np.zeros_like(p) for p in ref]
+    v = [np.zeros_like(p) for p in ref]
+    r = np.random.default_rng(0)
+    for t in range(1, steps + 1):
+        x, target = batch(r)
+        net.backward(loss, net.forward(x), target)
+        reference(ref, [g.copy() for _, g in slots], m, v, t, lr=1e-2)
+        net.step(lr=1e-2)
+        assert not net.grads.any()
+        yield net.params, np.concatenate([p.ravel() for p in ref])
+
+
 def train_step(net, batch, loss, r, lr=1e-2):
     x, t = batch(r)
     net.backward(loss, net.forward(x), t)
@@ -238,18 +294,57 @@ class TestFlatEngine:
     @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
     def test_adam_matches_per_array_reference_bitwise(self, case):
         net, batch, loss = case()
-        slots = [(p, g) for layer in net.layers for _, p, g in layer.params()]
-        ref = [p.copy() for p, _ in slots]
-        m = [np.zeros_like(p) for p in ref]
-        v = [np.zeros_like(p) for p in ref]
-        r = np.random.default_rng(0)
-        for t in range(1, 26):
-            x, target = batch(r)
-            net.backward(loss, net.forward(x), target)
-            reference_adam_step(ref, [g.copy() for _, g in slots], m, v, t, lr=1e-2)
-            net.step(lr=1e-2)
-            assert net.params.tobytes() == np.concatenate([p.ravel() for p in ref]).tobytes()
-            assert not net.grads.any()
+        for params, ref in adam_pairs(net, batch, loss, folded_adam_step):
+            assert params.dtype == ref.dtype == np.float32
+            assert params.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
+    def test_float64_adam_matches_the_textbook_algorithm(self, case):
+        net, batch, loss = case()
+        net = Network(copy.deepcopy(net.layers), np.float64)
+        for params, ref in adam_pairs(net, batch, loss, textbook_adam_step):
+            assert params.dtype == np.float64
+            np.testing.assert_allclose(params, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
+    def test_training_runs_in_float32(self, case):
+        net, batch, loss = case()
+        x, target = batch(np.random.default_rng(2))
+        assert x.dtype == target.dtype == np.float64
+        pred = net.forward(x)
+        net.backward(loss, pred, target)
+        d_input = net.backward_from(nn.loss_grad(loss, pred, target))
+        net.step()
+        for owner in (net, net.clone()):
+            layers = [layer for layer in owner.layers if layer.params()]
+            arrays = [owner.params, owner.grads, owner._adam_m, owner._adam_v]
+            arrays += [getattr(layer, name) for layer in layers for name in ("w", "b", "gw", "gb")]
+            assert all(a.dtype == np.float32 for a in arrays)
+        outputs = [pred, d_input] + [layer._a for layer in net.layers if layer.params()]
+        assert all(a.dtype == np.float32 for a in outputs)
+
+    @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
+    def test_input_only_backward_matches_the_full_pass(self, case):
+        net, batch, loss = case()
+        x, target = batch(np.random.default_rng(3))
+        upstream = nn.loss_grad(loss, net.forward(x), target)
+        full = net.backward_from(upstream).copy()
+        assert net.grads.any()
+        net.zero_grad()
+        only = net.backward_from(upstream, input_only=True)
+        assert only.tobytes() == full.tobytes()
+        assert not net.grads.any()
+        with pytest.raises(NNError, match="before backward"):
+            net.step()  # an input-only pass leaves nothing to step on
+
+    def test_grad_check_leaves_the_network_untouched(self):
+        net, batch, loss = dense_case()
+        x, target = batch(np.random.default_rng(4))
+        before = net.params.copy()
+        assert grad_check(net, loss, x, target) < 1e-4
+        assert net.params.dtype == np.float32
+        assert net.params.tobytes() == before.tobytes()
+        assert not net.grads.any()
 
     @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
     def test_layer_arrays_are_views_of_the_flat_vectors(self, case):
