@@ -1,6 +1,6 @@
 """Convex-space generative oversampling for small imbalanced tabular data."""
 
-from .data import Dataset, FoldPlan, ScaleInfo, compute_alpha, imbalance_ratio, load_csv, scale, stratified_kfold, unscale
+from .data import Dataset, FoldPlan, ScaleInfo, compute_alpha, load_csv, scale, stratified_kfold, unscale
 from .model import ConvGeNConfig, ConvGeNModel, SyntheticBatch
 from .metrics import ConfusionMatrix, cohen_kappa, confusion, f1_minority
 
@@ -16,7 +16,6 @@ __all__ = [
     "compute_alpha",
     "confusion",
     "f1_minority",
-    "imbalance_ratio",
     "load_csv",
     "scale",
     "stratified_kfold",

@@ -12,6 +12,8 @@ from . import nn
 from .data import DataError, ScaleInfo, compute_alpha, require_int, scale, unscale
 from .neighborhood import ranked_neighbors
 
+LEARNING_RATE = 1e-3
+
 
 def repeater_sample(minority: np.ndarray, n_synthetic: int) -> np.ndarray:
     """Sequential cyclic copies of minority rows until n_synthetic are emitted."""
@@ -53,16 +55,15 @@ class GanConfig:
 
     With f features: noise size 16f; generator hidden layers 32f, 4f, 2f
     (ReLU) with a softsign output of width f; discriminator hidden layers
-    40f, 20f, 10f (ReLU) with a sigmoid output. Unstated training knobs
-    default to Adam 1e-3, batch min(32, |minority|), uniform(-1, 1) noise,
-    one discriminator step per generator step.
+    40f, 20f, 10f (ReLU) with a sigmoid output. Training settings the
+    source leaves open are fixed: Adam with LEARNING_RATE, batches of
+    min(32, |minority|) rows, uniform(-1, 1) noise, one discriminator step
+    per generator step.
     """
 
     n_features: int
     epochs: int = 300
     seed: int = 0
-    batch_size: int | None = None
-    lr: float = 1e-3
 
     @property
     def noise_size(self) -> int:
@@ -95,7 +96,7 @@ class Gan:
         self.alpha = compute_alpha(minority)
         scaled = scale(minority, self.alpha)
         rng = np.random.default_rng(self.cfg.seed)
-        batch = self.cfg.batch_size or min(32, len(scaled))
+        batch = min(32, len(scaled))
         self.loss_history = []
 
         for _ in range(self.cfg.epochs):
@@ -111,17 +112,16 @@ class Gan:
                 d_target = np.vstack([np.ones((m, 1)), np.zeros((m, 1))])
                 d_pred = self.discriminator.forward(d_in)
                 d_loss = self.discriminator.backward("bce", d_pred, d_target)
-                self.discriminator.step(self.cfg.lr)
+                self.discriminator.step(LEARNING_RATE)
 
                 # generator step: make fakes look real through a frozen D
                 noise = rng.uniform(-1.0, 1.0, size=(m, self.cfg.noise_size))
                 fake = self.generator.forward(noise)
                 g_pred = self.discriminator.forward(fake)
-                g_loss = nn.loss_value("bce", g_pred, np.ones((m, 1)))
-                grad = nn.loss_grad("bce", g_pred, np.ones((m, 1)))
+                g_loss, grad = nn.loss("bce", g_pred, np.ones((m, 1)))
                 d_input_grad = self.discriminator.backward_from(grad, input_only=True)
                 self.generator.backward_from(d_input_grad)
-                self.generator.step(self.cfg.lr)
+                self.generator.step(LEARNING_RATE)
 
                 self.loss_history.append((d_loss, g_loss))
         return self

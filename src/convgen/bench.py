@@ -23,6 +23,7 @@ import numpy as np
 
 from .baselines import Gan, GanConfig, interpolation_sample, load_synthetic_csv, repeater_sample
 from .classifiers import (
+    DiscriminatorClassifier,
     ExternalPredictions,
     KNNClassifier,
     LogisticRegressionClassifier,
@@ -93,12 +94,7 @@ class BenchmarkConfig:
             )
             for d in raw["datasets"]
         )
-        env_seed = os.environ.get("CONVGEN_SEED")
-        seed = raw.get("seed", 0)
-        if env_seed is not None:
-            seed = int(env_seed)
-        if seed_override is not None:
-            seed = seed_override
+        seed = raw.get("seed", 0) if seed_override is None else seed_override
         return BenchmarkConfig(
             datasets=datasets,
             oversamplers=tuple(map(_spec, raw["oversamplers"])),
@@ -115,7 +111,7 @@ class FoldResult:
 
     synthetic: np.ndarray
     provenance: np.ndarray | None  # original-dataset row ids, or None
-    doc_factory: object = None  # () -> retrained-discriminator classifier
+    model: ConvGeNModel | None = None  # the fitted ConvGeN model, for DoC
 
 
 # The keys each kind reads from its spec; an unknown kind fails on its own.
@@ -184,7 +180,7 @@ def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
         else:
             synthetic = np.empty((0, train.n_features))
             provenance = minority_ids[:0]
-        return FoldResult(synthetic, provenance, doc_factory=model.retrain_doc)
+        return FoldResult(synthetic, provenance, model)
 
     if spec.kind == "from-file":
         rows = load_synthetic_csv(spec.params["path"], train.n_features)
@@ -201,9 +197,9 @@ def make_classifier(spec: Spec, fold_result: FoldResult,
     if spec.kind == "logreg":
         return LogisticRegressionClassifier()
     if spec.kind == "doc":
-        if fold_result.doc_factory is None:
+        if fold_result.model is None:
             raise DataError("the doc classifier requires the convgen oversampler")
-        return fold_result.doc_factory()
+        return DiscriminatorClassifier(fold_result.model)
     if spec.kind == "external":
         if external_path is None:
             raise DataError("external classifier needs a predictions directory")

@@ -1,11 +1,13 @@
 """Downstream classifiers scored in the benchmark: kNN, logistic regression,
-the retrained-discriminator wrapper, and an adapter for out-of-band
+ConvGeN's retrained discriminator (DoC), and an adapter for out-of-band
 predictions.
 
 All classifiers expose fit(features, labels) / predict(features) with
-labels in {0, 1}, 1 = minority; kNN and logistic regression raise DataError
-unless the training labels are exactly 0 and 1, both present. Predictions
-are deterministic; kNN breaks even-vote ties toward the majority class
+labels in {0, 1}, 1 = minority; kNN, logistic regression and DoC raise
+DataError unless the training labels are exactly 0 and 1, both present.
+DoC trains in fit like the others: it retrains a copy of a fitted ConvGeN
+model's discriminator on the rows it is given. Predictions are
+deterministic; kNN breaks even-vote ties toward the majority class
 (label 0).
 """
 
@@ -128,16 +130,20 @@ class LogisticRegressionClassifier:
 
 
 class DiscriminatorClassifier:
-    """Wraps a retrained ConvGeN discriminator as a 2-class predictor."""
+    """A fitted ConvGeN model's discriminator, retrained as a 2-class predictor."""
 
-    def __init__(self, network) -> None:
-        self.network = network
+    def __init__(self, model) -> None:
+        self.model = model
+        self.network = None
 
     def fit(self, features, labels):
-        # retraining happens in ConvGeNModel.retrain_doc; nothing to do here
+        _check_binary_labels(labels)
+        self.network = self.model.retrain_doc(features, labels)
         return self
 
     def predict(self, features) -> np.ndarray:
+        if self.network is None:
+            raise DataError("predict before fit")
         x = np.asarray(features, dtype=np.float64)
         probs = self.network.forward(x)
         # output node 0 is the minority node

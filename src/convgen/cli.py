@@ -31,7 +31,7 @@ def main() -> None:
 @click.option("--out", "out_dir", default="bench-out", show_default=True,
               help="Output directory for reports.")
 @click.option("--seed", type=int, default=None,
-              help="Override the config master seed (also: CONVGEN_SEED env var).")
+              help="Override the config master seed.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Parallel worker processes.")
 def run(config_path, out_dir, seed, jobs) -> None:

@@ -121,10 +121,6 @@ def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Da
     return Dataset(features, label_arr, name or str(path))
 
 
-def imbalance_ratio(dataset: Dataset) -> float:
-    return dataset.majority_count / dataset.minority_count
-
-
 @dataclass(frozen=True)
 class FoldPlan:
     """Stratified fold assignments: assignments[shuffle][sample] = fold id."""

@@ -1,7 +1,7 @@
 """The convex-coefficient generator/discriminator oversampler.
 
 The generator maps a shuffled minority neighborhood batch (neb rows) to a
-nonnegative coefficient matrix K (neb x gen) whose columns sum to 1; the
+nonnegative coefficient matrix K (neb x neb) whose columns sum to 1; the
 synthetic batch is K^T times the neighborhood, so every synthetic row lies
 in the neighborhood's convex hull by construction. The discriminator (a
 small softmax MLP) learns to separate those synthetic rows from majority
@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nn
-from .classifiers import DiscriminatorClassifier
 from .data import DataError, Dataset, require_int
 from .neighborhood import knn_minority, majority_neighborhoods
 from .rng import derive_seed
@@ -41,8 +40,9 @@ class TrainingError(RuntimeError):
 class ConvGeNConfig:
     """Model settings; `neb="min"` means the whole minority class.
 
-    gen is always equal to neb. k_prime is the row count the convolution
-    reduces a neighborhood to; None means ceil(neb / 2).
+    The generator emits neb rows per neighborhood (the paper's gen = neb).
+    k_prime is the row count the convolution reduces a neighborhood to;
+    None means ceil(neb / 2).
     """
 
     neb: int | str = "min"
@@ -117,7 +117,6 @@ class Generator:
         if not 1 <= k_prime < neb:
             raise DataError(f"k_prime must satisfy 1 <= k_prime < neb, got {k_prime}/{neb}")
         self.neb = neb
-        self.gen = neb
         self.n_features = n_features
         self.k_prime = k_prime
         rng = np.random.default_rng(seed)
@@ -125,7 +124,7 @@ class Generator:
             [
                 nn.Conv1D(neb, k_prime, n_features, "identity", rng),
                 nn.Flatten(),
-                nn.Dense(k_prime * n_features, neb * self.gen, "identity", rng),
+                nn.Dense(k_prime * n_features, neb * neb, "identity", rng),
             ]
         )
         self._logits = None
@@ -143,7 +142,7 @@ class Generator:
             raise DataError(
                 f"neighborhood must be {(self.neb, self.n_features)}, got {neighborhood.shape}"
             )
-        logits = self.net.forward(neighborhood).reshape(self.neb, self.gen).astype(np.float64)
+        logits = self.net.forward(neighborhood).reshape(self.neb, self.neb).astype(np.float64)
         pos = np.maximum(logits, 0.0)
         sums = pos.sum(axis=0)
         k = np.where(sums > 0.0, pos / np.where(sums > 0.0, sums, 1.0), 1.0 / self.neb)
@@ -183,7 +182,7 @@ class ConvGeNModel:
         self.generator: Generator | None = None
         self.discriminator: nn.Network | None = None
         self.epoch_losses: list[dict] = []
-        self._index = None
+        self._neighbors = None
         self._maj_neigh = None
         self._labels = None
         self._rng = None
@@ -212,13 +211,12 @@ class ConvGeNModel:
         self.discriminator = _build_discriminator(
             dataset.n_features, seed=derive_seed(cfg.seed, "discriminator")
         )
-        self._index = knn_minority(dataset, self._neb)
+        self._neighbors = knn_minority(dataset, self._neb)
         self._maj_neigh = (
             majority_neighborhoods(dataset, self._neb) if cfg.maj_proximal else None
         )
-        gen = self._neb
         self._labels = np.vstack(
-            [np.tile([1.0, 0.0], (gen, 1)), np.tile([0.0, 1.0], (gen, 1))]
+            [np.tile([1.0, 0.0], (self._neb, 1)), np.tile([0.0, 1.0], (self._neb, 1))]
         )
         self._rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
 
@@ -226,14 +224,12 @@ class ConvGeNModel:
 
     def _minority_batch(self, x_pos: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """Shuffled neighborhood of minority point x_pos: (row ids, rows)."""
-        positions = self._index.neighbors[x_pos].copy()
+        positions = self._neighbors[x_pos].copy()
         rng.shuffle(positions)
-        row_ids = self._index.minority_indices[positions]
+        row_ids = self.dataset.minority_indices[positions]
         return row_ids, self.dataset.features[row_ids]
 
     def _majority_batch(self, x_pos: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        if self.dataset.majority_count == 0:
-            raise DataError("majority class is empty")
         if self.config.maj_proximal:
             pool = self._maj_neigh[x_pos]
         else:
@@ -265,8 +261,7 @@ class ConvGeNModel:
         # its concat and the generator's cached forward state still hold
         concat, min_ids, _, _ = self.discriminator_step(x_pos)
         pred = self.discriminator.forward(concat)
-        loss = nn.loss_value("mse", pred, self._labels)
-        grad = nn.loss_grad("mse", pred, self._labels)
+        loss, grad = nn.loss("mse", pred, self._labels)
         # D stays frozen in this step: only the gradient w.r.t. its input
         dc = self.discriminator.backward_from(grad, input_only=True)[: self._neb]
         self.generator.backward_from_dk(self.dataset.features[min_ids] @ dc.T)
@@ -334,17 +329,13 @@ class ConvGeNModel:
             return np.empty((0, self.dataset.n_features))
         return np.vstack([b.samples for b in batches])
 
-    def retrain_doc(self, epochs: int = 10, batch_size: int = 64):
-        """Balance the training data and retrain a copy of D as a classifier."""
+    def retrain_doc(self, features, labels, epochs: int = 10,
+                    batch_size: int = 64) -> nn.Network:
+        """A copy of D retrained on labelled rows (1 = minority), typically the
+        training data balanced with synthetic rows; D itself is untouched."""
         self._require_fitted()
-        n_syn = self.dataset.majority_count - self.dataset.minority_count
-        synthetic = self.synthetic_rows(max(0, n_syn))
-        features = np.vstack([self.dataset.features, synthetic])
-        minority_flags = np.concatenate(
-            [self.dataset.labels == 1, np.ones(len(synthetic), dtype=bool)]
-        )
-        targets = np.where(minority_flags[:, None], [[1.0, 0.0]], [[0.0, 1.0]])
-
+        features = np.asarray(features)
+        targets = np.where((np.asarray(labels) == 1)[:, None], [[1.0, 0.0]], [[0.0, 1.0]])
         doc = self.discriminator.clone()
         rng = np.random.default_rng(derive_seed(self.config.seed, "doc"))
         for _ in range(epochs):
@@ -354,7 +345,7 @@ class ConvGeNModel:
                 pred = doc.forward(features[sel])
                 doc.backward("bce", pred, targets[sel])
                 doc.step(LEARNING_RATE)
-        return DiscriminatorClassifier(doc)
+        return doc
 
     # -- checkpointing ---------------------------------------------------
 

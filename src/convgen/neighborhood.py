@@ -9,20 +9,9 @@ candidates, which keeps the (distance, index) order of a full sort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import DataError, Dataset
-
-
-@dataclass(frozen=True)
-class NeighborhoodIndex:
-    """For each minority point: its `neb` nearest minority indices (self first)."""
-
-    neb: int
-    minority_indices: np.ndarray          # (n_min,) dataset row ids
-    neighbors: np.ndarray                 # (n_min, neb) positions into minority_indices
 
 
 def ranked_neighbors(queries: np.ndarray, k: int, pool: np.ndarray | None = None) -> np.ndarray:
@@ -51,14 +40,13 @@ def ranked_neighbors(queries: np.ndarray, k: int, pool: np.ndarray | None = None
     return out
 
 
-def knn_minority(dataset: Dataset, neb: int) -> NeighborhoodIndex:
-    """Neighborhood lists of size min(neb, |minority|) inside the minority class."""
+def knn_minority(dataset: Dataset, neb: int) -> np.ndarray:
+    """(n_min, min(neb, n_min)) positions into `dataset.minority_indices`: each
+    minority point's nearest minority points, itself first."""
     minority = dataset.minority_indices
     if neb < 2 and len(minority) >= 2:
         raise DataError("neb must be >= 2")
-    neighbors = ranked_neighbors(dataset.features[minority], neb)
-    return NeighborhoodIndex(neb=neighbors.shape[1], minority_indices=minority,
-                             neighbors=neighbors)
+    return ranked_neighbors(dataset.features[minority], neb)
 
 
 def majority_neighborhoods(dataset: Dataset, neb: int) -> np.ndarray:

@@ -181,23 +181,17 @@ class Flatten:
         return []
 
 
-def loss_value(kind: str, predicted: np.ndarray, target: np.ndarray) -> float:
+def loss(kind: str, predicted: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """(value, dvalue/dpredicted) of the mean `kind` loss ("mse" or "bce")."""
     if predicted.shape != target.shape:
         raise NNError(f"loss shape mismatch: {predicted.shape} vs {target.shape}")
     if kind == "mse":
-        return float(np.mean((predicted - target) ** 2))
+        diff = predicted - target
+        return float(np.mean(diff ** 2)), 2.0 * diff / predicted.size
     if kind == "bce":
         p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
-        return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
-    raise NNError(f"unknown loss {kind!r}")
-
-
-def loss_grad(kind: str, predicted: np.ndarray, target: np.ndarray) -> np.ndarray:
-    if kind == "mse":
-        return 2.0 * (predicted - target) / predicted.size
-    if kind == "bce":
-        p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
-        return (p - target) / (p * (1.0 - p)) / predicted.size
+        value = float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
+        return value, (p - target) / (p * (1.0 - p)) / predicted.size
     raise NNError(f"unknown loss {kind!r}")
 
 
@@ -234,13 +228,13 @@ class Network:
             raise NNError("non-finite values in forward output")
         return x
 
-    def backward(self, loss: str, predicted: np.ndarray, target: np.ndarray) -> float:
+    def backward(self, kind: str, predicted: np.ndarray, target: np.ndarray) -> float:
         """Accumulate dL/dparam into the gradient vector; returns the loss value."""
         target = np.asarray(target, dtype=self.params.dtype)
-        value = loss_value(loss, predicted, target)
+        value, grad = loss(kind, predicted, target)
         if not np.isfinite(value):
-            raise NNError(f"non-finite {loss} loss")
-        self.backward_from(loss_grad(loss, predicted, target))
+            raise NNError(f"non-finite {kind} loss")
+        self.backward_from(grad)
         return value
 
     def backward_from(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
@@ -313,7 +307,7 @@ def dense_network(sizes, activations, seed: int) -> Network:
     return Network(layers)
 
 
-def grad_check(net: Network, loss: str, x: np.ndarray, target: np.ndarray,
+def grad_check(net: Network, kind: str, x: np.ndarray, target: np.ndarray,
                epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -323,7 +317,7 @@ def grad_check(net: Network, loss: str, x: np.ndarray, target: np.ndarray,
         raise NNError("epsilon must be positive")
     net = Network(copy.deepcopy(net.layers), np.float64)
     pred = net.forward(x)
-    net.backward(loss, pred, target)
+    net.backward(kind, pred, target)
     analytic = net.grads
 
     worst = 0.0
@@ -331,9 +325,9 @@ def grad_check(net: Network, loss: str, x: np.ndarray, target: np.ndarray,
     for idx in range(p.size):
         orig = p[idx]
         p[idx] = orig + epsilon
-        up = loss_value(loss, net.forward(x), target)
+        up = loss(kind, net.forward(x), target)[0]
         p[idx] = orig - epsilon
-        down = loss_value(loss, net.forward(x), target)
+        down = loss(kind, net.forward(x), target)[0]
         p[idx] = orig
         numeric = (up - down) / (2.0 * epsilon)
         denom = max(abs(analytic[idx]), abs(numeric), 1e-12)

@@ -22,9 +22,10 @@ from convgen.bench import (
     run_benchmark,
     run_fold,
 )
-from convgen.classifiers import KNNClassifier
+from convgen.classifiers import DiscriminatorClassifier, KNNClassifier
 from convgen.data import DataError, Dataset, stratified_kfold
 from convgen.metrics import cohen_kappa, confusion, f1_minority
+from convgen.model import ConvGeNModel
 from convgen.rng import derive_seed
 
 from conftest import two_blob_dataset
@@ -104,7 +105,7 @@ class TestConfig:
         for spec in specs:
             _check_keys(spec)
 
-    def test_env_seed_override(self, tmp_path, toy_csv, monkeypatch):
+    def test_env_seed_override(self, tmp_path, toy_csv):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "datasets": [{"path": toy_csv, "label_column": "cls", "minority_label": "pos"}],
@@ -113,9 +114,7 @@ class TestConfig:
             "seed": 3,
         }))
         assert BenchmarkConfig.from_json(cfg_path).seed == 3
-        monkeypatch.setenv("CONVGEN_SEED", "99")
-        assert BenchmarkConfig.from_json(cfg_path).seed == 99
-        # an explicit override wins over the environment
+        # an explicit override wins over the config
         assert BenchmarkConfig.from_json(cfg_path, seed_override=7).seed == 7
 
 
@@ -147,7 +146,7 @@ class TestOversampleFold:
         res = oversample_fold(spec, train, train_ids, 12, seed=3)
         assert res.synthetic.shape == (12, 2)
         assert set(res.provenance) <= set(train_ids)
-        assert res.doc_factory is not None
+        assert isinstance(res.model, ConvGeNModel)
 
     @pytest.mark.parametrize("kind,params,key", [
         ("repeater", {"k": 3}, "k"),
@@ -253,8 +252,11 @@ class TestDegenerateData:
         res = oversample_fold(spec, train, np.arange(train.n_samples), n_syn, seed=5)
         assert res.synthetic.shape == (n_syn, train.n_features)
         assert np.all(np.isfinite(res.synthetic))
-        if res.doc_factory is not None:
-            doc = res.doc_factory()
+        if res.model is not None:
+            doc = DiscriminatorClassifier(res.model).fit(
+                np.vstack([train.features, res.synthetic]),
+                np.concatenate([train.labels, np.ones(n_syn, dtype=int)]),
+            )
             assert np.all(np.isfinite(doc.network.forward(train.features)))
             assert set(doc.predict(train.features)) <= {0, 1}
 
@@ -271,7 +273,7 @@ class TestMakeClassifier:
         ("external", {"dir": "preds", "sep": ";"}, ["sep"]),
     ])
     def test_unknown_key_rejected(self, kind, params, keys):
-        fold_result = FoldResult(None, None, doc_factory=lambda: "doc")
+        fold_result = FoldResult(None, None, model=object())
         with pytest.raises(DataError, match="unknown key") as info:
             make_classifier(ClassifierSpec("c", kind, params), fold_result, "preds/f.csv")
         assert str(keys) in str(info.value)
@@ -337,6 +339,48 @@ class TestRunFold:
         scores = run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
         assert "error" in scores["doc"]
         assert "f1" in scores["knn"]  # the failure does not poison siblings
+
+    @staticmethod
+    def convgen_doc_config(toy_csv):
+        return toy_config(toy_csv, [OversamplerSpec("cg", "convgen",
+                                                    {"preset": "5,maj", "neb_epochs": 1})],
+                          [ClassifierSpec("logreg", "logreg"), ClassifierSpec("doc", "doc")],
+                          n_folds=2, n_shuffles=1)
+
+    def test_convgen_generates_once_per_fold_with_doc(self, toy_csv, monkeypatch):
+        calls = []
+        generate = ConvGeNModel.generate
+
+        def spy(self, n_synthetic):
+            calls.append(n_synthetic)
+            return generate(self, n_synthetic)
+
+        monkeypatch.setattr(ConvGeNModel, "generate", spy)
+        report, _ = run_benchmark(self.convgen_doc_config(toy_csv))
+        assert [cell["status"] for cell in report["cells"]] == ["ok", "ok"]
+        assert len(calls) == 2  # two folds, one generate each
+
+    def test_doc_retrains_on_the_fold_balanced_set(self, toy_csv, monkeypatch):
+        generated, retrained = [], []
+        generate, retrain_doc = ConvGeNModel.generate, ConvGeNModel.retrain_doc
+
+        def spy_generate(self, n_synthetic):
+            generated.append(generate(self, n_synthetic))
+            return generated[-1]
+
+        def spy_retrain_doc(self, features, labels, **kwargs):
+            retrained.append((self.dataset, features, labels))
+            return retrain_doc(self, features, labels, **kwargs)
+
+        monkeypatch.setattr(ConvGeNModel, "generate", spy_generate)
+        monkeypatch.setattr(ConvGeNModel, "retrain_doc", spy_retrain_doc)
+        report, _ = run_benchmark(self.convgen_doc_config(toy_csv))
+        assert [cell["status"] for cell in report["cells"]] == ["ok", "ok"]
+        assert len(retrained) == 2
+        for batches, (train, features, labels) in zip(generated, retrained):
+            rows = np.vstack([b.samples for b in batches])
+            assert np.array_equal(features, np.vstack([train.features, rows]))
+            assert np.array_equal(labels, np.concatenate([train.labels, np.ones(len(rows))]))
 
     def test_external_predictions(self, toy_csv, tmp_path):
         ext_dir = tmp_path / "preds"

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from convgen.classifiers import (
+    DiscriminatorClassifier,
     ExternalPredictions,
     KNNClassifier,
     LogisticRegressionClassifier,
 )
 from convgen.data import DataError, load_csv, stratified_kfold
+from convgen.model import ConvGeNConfig, ConvGeNModel
 from tests.conftest import two_blob_dataset
 
 
@@ -162,6 +164,30 @@ class TestLogisticRegression:
         assert clf.loss_trace == trace
         assert np.array_equal(clf.weights, weights)
         assert clf.bias == bias
+
+
+class TestDiscriminatorClassifier:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return ConvGeNModel(ConvGeNConfig(neb=5, neb_epochs=1, seed=2)).fit(two_blob_dataset())
+
+    def test_fit_retrains_a_copy_of_the_discriminator(self, model):
+        ds = model.dataset
+        before = model.discriminator.params.copy()
+        doc = DiscriminatorClassifier(model).fit(ds.features, ds.labels)
+        assert doc.network is not model.discriminator
+        assert np.array_equal(model.discriminator.params, before)
+        assert not np.array_equal(doc.network.params, before)
+        assert set(doc.predict(ds.features)) <= {0, 1}
+
+    def test_predict_before_fit(self, model):
+        with pytest.raises(DataError, match="before fit"):
+            DiscriminatorClassifier(model).predict(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("labels", [[1, 2, 1, 2], [0, 0, 0, 0], [0.0, 0.5, 1.0, 1.0]])
+    def test_labels_other_than_0_1_rejected(self, model, labels):
+        with pytest.raises(DataError, match="0 and 1"):
+            DiscriminatorClassifier(model).fit(np.arange(8.0).reshape(4, 2), np.array(labels))
 
 
 class TestExternalPredictions:

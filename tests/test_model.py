@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from convgen.classifiers import DiscriminatorClassifier
 from convgen.data import DataError, Dataset, load_csv
 from convgen.model import (
     MAX_GENERATOR_PARAMS,
@@ -156,7 +157,7 @@ class TestGeneratorForward:
 class TestDiscriminatorStep:
     def test_label_tensor_layout(self):
         model, _ = fitted_toy_model(epochs=0)
-        gen = model.generator.gen
+        gen = model.generator.neb
         labels = model._labels
         assert labels.shape == (2 * gen, 2)
         assert np.all(labels[:gen] == (1.0, 0.0))
@@ -166,7 +167,7 @@ class TestDiscriminatorStep:
         model, ds = fitted_toy_model(epochs=0)
         before = model.discriminator.layers[0].w.copy()
         concat, min_ids, maj_ids, loss = model.discriminator_step(0)
-        assert concat.shape == (2 * model.generator.gen, ds.n_features)
+        assert concat.shape == (2 * model.generator.neb, ds.n_features)
         assert set(min_ids) <= set(ds.minority_indices)
         assert set(maj_ids) <= set(ds.majority_indices)
         assert np.isfinite(loss)
@@ -258,7 +259,7 @@ class TestGenerate:
 
     def test_round_robin_covers_all_neighborhoods(self):
         model, ds = fitted_toy_model(epochs=1)
-        batches = model.generate(ds.minority_count * model.generator.gen)
+        batches = model.generate(ds.minority_count * model.generator.neb)
         assert len(batches) == ds.minority_count
 
     def test_permutation_of_neighborhood_keeps_rows_in_hull(self):
@@ -269,6 +270,13 @@ class TestGenerate:
         k2, c2 = model.generator.forward(rows[perm])
         for k, c, r in ((k1, c1, rows), (k2, c2, rows[perm])):
             assert np.max(np.abs(k.T @ r - c)) < 1e-9
+
+
+def balanced_set(model, ds):
+    """The training rows topped up to balance with synthetic minority rows."""
+    rows = model.synthetic_rows(ds.majority_count - ds.minority_count)
+    return (np.vstack([ds.features, rows]),
+            np.concatenate([ds.labels, np.ones(len(rows), dtype=int)]))
 
 
 class TestDoc:
@@ -282,22 +290,22 @@ class TestDoc:
 
     def test_predictions_are_argmax_of_two_outputs(self):
         model, ds = fitted_toy_model(epochs=2)
-        doc = model.retrain_doc()
+        doc = DiscriminatorClassifier(model).fit(*balanced_set(model, ds))
         probs = doc.network.forward(ds.features)
         expected = (probs[:, 0] > probs[:, 1]).astype(int)
         assert np.array_equal(doc.predict(ds.features), expected)
 
     def test_training_accuracy_at_least_base_rate(self):
         model, ds = fitted_toy_model(epochs=5)
-        doc = model.retrain_doc()
+        doc = DiscriminatorClassifier(model).fit(*balanced_set(model, ds))
         accuracy = float(np.mean(doc.predict(ds.features) == ds.labels))
         base_rate = ds.majority_count / ds.n_samples
         assert accuracy >= base_rate
 
     def test_original_discriminator_untouched(self):
-        model, _ = fitted_toy_model(epochs=1)
+        model, ds = fitted_toy_model(epochs=1)
         before = model.discriminator.layers[0].w.copy()
-        model.retrain_doc()
+        model.retrain_doc(*balanced_set(model, ds))
         assert np.array_equal(before, model.discriminator.layers[0].w)
 
 

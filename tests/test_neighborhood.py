@@ -31,31 +31,31 @@ def brute_force_knn(points, k):
 class TestKnnMinority:
     def test_collinear_points(self):
         ds = all_minority([[0.0], [1.0], [10.0]])
-        index = knn_minority(ds, 2)
-        assert list(index.neighbors[0]) == [0, 1]
+        neighbors = knn_minority(ds, 2)
+        assert list(neighbors[0]) == [0, 1]
 
     def test_neighborhood_of_whole_minority(self):
         rng = np.random.default_rng(2)
         ds = all_minority(rng.normal(size=(8, 3)))
-        index = knn_minority(ds, 8)
-        for row in index.neighbors:
+        neighbors = knn_minority(ds, 8)
+        for row in neighbors:
             assert sorted(row) == list(range(8))
 
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(3)
         points = rng.normal(size=(50, 4))
         ds = all_minority(points)
-        index = knn_minority(ds, 5)
-        assert np.array_equal(index.neighbors, brute_force_knn(points, 5))
+        neighbors = knn_minority(ds, 5)
+        assert np.array_equal(neighbors, brute_force_knn(points, 5))
 
     def test_self_is_first(self):
         rng = np.random.default_rng(4)
         points = rng.normal(size=(20, 2))
         points[7] = points[3]  # duplicate row must not displace self
         ds = all_minority(points)
-        index = knn_minority(ds, 4)
+        neighbors = knn_minority(ds, 4)
         for i in range(20):
-            assert index.neighbors[i][0] == i
+            assert neighbors[i][0] == i
 
     def test_neb_below_two_rejected(self):
         ds = all_minority([[0.0], [1.0], [2.0]])
@@ -64,7 +64,7 @@ class TestKnnMinority:
 
     def test_neb_clamped_to_minority_size(self):
         ds = all_minority([[0.0], [1.0], [2.0]])
-        assert knn_minority(ds, 10).neighbors.shape == (3, 3)
+        assert knn_minority(ds, 10).shape == (3, 3)
 
 
 class TestProximalMajority:

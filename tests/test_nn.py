@@ -93,14 +93,14 @@ class TestActivationRanges:
 class TestLosses:
     def test_mse_zero_at_target(self):
         y = np.random.default_rng(1).normal(size=(4, 3))
-        assert nn.loss_value("mse", y, y) == 0.0
+        assert nn.loss("mse", y, y)[0] == 0.0
 
     @pytest.mark.parametrize("target", [0.0, 1.0])
     def test_bce_minimized_at_target(self, target):
         t = np.full((5, 2), target)
-        at_target = nn.loss_value("bce", t, t)
+        at_target = nn.loss("bce", t, t)[0]
         for other in (0.01, 0.3, 0.6, 0.99):
-            assert nn.loss_value("bce", np.full((5, 2), other), t) >= at_target
+            assert nn.loss("bce", np.full((5, 2), other), t)[0] >= at_target
 
 
 class TestBackward:
@@ -131,7 +131,7 @@ class TestBackward:
 
     def test_loss_shape_mismatch(self):
         with pytest.raises(NNError, match="shape"):
-            nn.loss_value("mse", np.ones((2, 2)), np.ones((3, 2)))
+            nn.loss("mse", np.ones((2, 2)), np.ones((3, 2)))
 
 
 class TestOptimizer:
@@ -313,7 +313,7 @@ class TestFlatEngine:
         assert x.dtype == target.dtype == np.float64
         pred = net.forward(x)
         net.backward(loss, pred, target)
-        d_input = net.backward_from(nn.loss_grad(loss, pred, target))
+        d_input = net.backward_from(nn.loss(loss, pred, target)[1])
         net.step()
         for owner in (net, net.clone()):
             layers = [layer for layer in owner.layers if layer.params()]
@@ -327,7 +327,7 @@ class TestFlatEngine:
     def test_input_only_backward_matches_the_full_pass(self, case):
         net, batch, loss = case()
         x, target = batch(np.random.default_rng(3))
-        upstream = nn.loss_grad(loss, net.forward(x), target)
+        upstream = nn.loss(loss, net.forward(x), target)[1]
         full = net.backward_from(upstream).copy()
         assert net.grads.any()
         net.zero_grad()
