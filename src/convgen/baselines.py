@@ -120,7 +120,7 @@ class Gan:
                 g_pred = self.discriminator.forward(fake)
                 g_loss, grad = nn.loss("bce", g_pred, np.ones((m, 1)))
                 d_input_grad = self.discriminator.backward_from(grad, input_only=True)
-                self.generator.backward_from(d_input_grad)
+                self.generator.backward_from(d_input_grad, input_grad=False)
                 self.generator.step(LEARNING_RATE)
 
                 self.loss_history.append((d_loss, g_loss))

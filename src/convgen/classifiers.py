@@ -71,7 +71,12 @@ class LogisticRegressionClassifier:
 
     @staticmethod
     def _sigmoid(z):
-        """1 / (1 + exp(-z)), computed in place in `z`."""
+        """1 / (1 + exp(-z)), computed in place in `z`.
+
+        exp overflows to inf for z below about -709, and 1 / (1 + inf) is
+        then exactly the limit 0, so callers run it under
+        np.errstate(over="ignore"), entered once outside any loop.
+        """
         np.negative(z, out=z)
         np.exp(z, out=z)
         np.add(z, 1.0, out=z)
@@ -93,29 +98,30 @@ class LogisticRegressionClassifier:
         eps = 1e-12
         p, q, err = np.empty(n), np.empty(n), np.empty(n)
         prev = np.inf
-        for _ in range(self.iterations):
-            np.matmul(x, self.weights, out=p)
-            p += self.bias
-            self._sigmoid(p)
-            np.multiply(flip, p, out=q)
-            q += offset
-            q += eps
-            np.log(q, out=q)
-            # np.add.reduce(v) / n is np.mean(v) for float64, without its wrapper
-            loss = float(
-                -(np.add.reduce(q) / n)
-                + 0.5 * self.l2 * np.dot(self.weights, self.weights)
-            )
-            self.loss_trace.append(loss)
-            if prev - loss < self.tol:
-                break
-            prev = loss
-            np.subtract(p, y, out=err)
-            grad = x.T @ err
-            grad /= n
-            grad += self.l2 * self.weights
-            self.weights -= self.lr * grad
-            self.bias -= self.lr * float(np.add.reduce(err) / n)
+        with np.errstate(over="ignore"):
+            for _ in range(self.iterations):
+                np.matmul(x, self.weights, out=p)
+                p += self.bias
+                self._sigmoid(p)
+                np.multiply(flip, p, out=q)
+                q += offset
+                q += eps
+                np.log(q, out=q)
+                # np.add.reduce(v) / n is np.mean(v) for float64, without its wrapper
+                loss = float(
+                    -(np.add.reduce(q) / n)
+                    + 0.5 * self.l2 * np.dot(self.weights, self.weights)
+                )
+                self.loss_trace.append(loss)
+                if prev - loss < self.tol:
+                    break
+                prev = loss
+                np.subtract(p, y, out=err)
+                grad = x.T @ err
+                grad /= n
+                grad += self.l2 * self.weights
+                self.weights -= self.lr * grad
+                self.bias -= self.lr * float(np.add.reduce(err) / n)
         return self
 
     def predict(self, features) -> np.ndarray:
@@ -124,7 +130,8 @@ class LogisticRegressionClassifier:
         x = np.asarray(features, dtype=np.float64)
         if x.shape[1] != len(self.weights):
             raise DataError(f"feature width {x.shape[1]} != fitted {len(self.weights)}")
-        p = self._sigmoid(x @ self.weights + self.bias)
+        with np.errstate(over="ignore"):
+            p = self._sigmoid(x @ self.weights + self.bias)
         # p == 0.5 exactly (e.g. zero weights) resolves to the majority class
         return (p > 0.5).astype(int)
 

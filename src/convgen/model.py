@@ -8,6 +8,13 @@ small softmax MLP) learns to separate those synthetic rows from majority
 batches, and the two are trained cooperatively: several discriminator-only
 passes per epoch, then one combined pass that updates the generator
 through the frozen discriminator with an MSE objective on the labels.
+
+The generator is frozen during a discriminator-only pass, so each such
+pass draws every step's minority shuffle and majority choice up front, in
+the order the per-step loop would draw them, runs the generator once over
+the stacked neighborhoods (`Generator.forward_stack`, bitwise equal to
+`Generator.forward` on each), and then trains the discriminator step by
+step on the assembled batches.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ from .rng import derive_seed
 
 CHECKPOINT_FORMAT = "convgen-checkpoint-v2"
 SIMPLEX_TOL = 1e-5
+# Elements in the largest array of one Generator.forward_stack call, so a
+# pass over big neighborhoods (neb="min") runs in several stacks.
+STACK_ELEMENTS = 1 << 20
 LEARNING_RATE = 1e-3
 DISC_HIDDEN = (250, 125, 75)
 # The largest generator _setup builds. Training holds 5 float32 vectors per
@@ -97,11 +107,14 @@ class SyntheticBatch:
 
 
 def check_simplex(k: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
+    """Raise unless every column of K, or of each K in a (..., neb, neb)
+    stack, is nonnegative and sums to 1 within tol; NaN fails."""
     if np.any(k < 0.0):
         raise TrainingError(f"negative coefficient {k.min():.3e} in K")
-    sums = k.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > tol):
-        worst = sums[np.argmax(np.abs(sums - 1.0))]
+    sums = k.sum(axis=-2)
+    off = np.abs(sums - 1.0)
+    if not np.all(off <= tol):
+        worst = sums.flat[np.argmax(off)]
         raise TrainingError(f"coefficient column sums to {worst!r}, outside tolerance")
 
 
@@ -143,14 +156,34 @@ class Generator:
                 f"neighborhood must be {(self.neb, self.n_features)}, got {neighborhood.shape}"
             )
         logits = self.net.forward(neighborhood).reshape(self.neb, self.neb).astype(np.float64)
-        pos = np.maximum(logits, 0.0)
-        sums = pos.sum(axis=0)
-        k = np.where(sums > 0.0, pos / np.where(sums > 0.0, sums, 1.0), 1.0 / self.neb)
         self._logits = logits
-        self._k = k
-        self._sums = sums
+        self._k, self._sums = self._normalize(logits)
+        return self._k, self._k.T @ neighborhood
+
+    def forward_stack(self, neighborhoods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K, C) stacks for an (S, neb, f) stack of neighborhoods, bitwise
+        equal to forward on each; caches nothing, so no backward follows."""
+        conv, _, dense = self.net.layers
+        x = neighborhoods.astype(self.net.params.dtype)
+        flat = nn.activate(conv.activation, nn.conv_rows(x, conv.w, conv.b))
+        # one (1, k'f) x (k'f, neb^2) product per neighborhood, as in forward
+        logits = np.matmul(flat.reshape(len(x), 1, -1), dense.w)
+        logits += dense.b
+        logits = nn.activate(dense.activation, logits)
+        if not np.all(np.isfinite(logits)):
+            raise nn.NNError("non-finite values in forward output")
+        k, _ = self._normalize(logits.reshape(-1, self.neb, self.neb).astype(np.float64))
+        return k, np.matmul(np.swapaxes(k, -1, -2), neighborhoods)
+
+    def _normalize(self, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K, column sums) from (..., neb, neb) logits: ReLU, then each column
+        over its sum; a column with no positive logit is uniform, 1/neb."""
+        pos = np.maximum(logits, 0.0)
+        sums = pos.sum(axis=-2, keepdims=True)
+        live = sums > 0.0
+        k = np.where(live, pos / np.where(live, sums, 1.0), 1.0 / self.neb)
         check_simplex(k)
-        return k, k.T @ neighborhood
+        return k, sums
 
     def backward_from_dk(self, dk: np.ndarray) -> None:
         """Backpropagate a gradient w.r.t. K through normalization and the net."""
@@ -162,7 +195,7 @@ class Generator:
         with np.errstate(divide="ignore", invalid="ignore"):
             dr = np.where(sums > 0.0, (dk - inner) / np.where(sums > 0.0, sums, 1.0), 0.0)
         dlogits = dr * (self._logits > 0.0)
-        self.net.backward_from(dlogits.reshape(1, -1))
+        self.net.backward_from(dlogits.reshape(1, -1), input_grad=False)
 
     def step(self, lr: float = LEARNING_RATE) -> None:
         self.net.step(lr)
@@ -240,15 +273,21 @@ class ConvGeNModel:
 
     # -- training steps --------------------------------------------------
 
-    def discriminator_step(self, x_pos: int):
+    def discriminator_step(self, x_pos: int, batch=None):
         """One Algorithm-2 step: build batches, train D once on BCE.
 
-        Returns (concat batch, minority row ids, majority row ids, loss).
+        `batch` is the step's pre-assembled (concat, minority row ids,
+        majority row ids); when None, they are drawn here and G runs on the
+        minority batch. Returns (concat batch, minority row ids, majority
+        row ids, loss).
         """
-        min_ids, min_rows = self._minority_batch(x_pos, self._rng)
-        _, conv_samples = self.generator.forward(min_rows)
-        maj_ids, maj_rows = self._majority_batch(x_pos, self._rng)
-        concat = np.vstack([conv_samples, maj_rows])
+        if batch is None:
+            min_ids, min_rows = self._minority_batch(x_pos, self._rng)
+            _, conv_samples = self.generator.forward(min_rows)
+            maj_ids, maj_rows = self._majority_batch(x_pos, self._rng)
+            concat = np.vstack([conv_samples, maj_rows])
+        else:
+            concat, min_ids, maj_ids = batch
         pred = self.discriminator.forward(concat)
         loss = self.discriminator.backward("bce", pred, self._labels)
         self.discriminator.step(LEARNING_RATE)
@@ -268,8 +307,40 @@ class ConvGeNModel:
         self.generator.step(LEARNING_RATE)
         return loss
 
+    def _discriminator_pass(self) -> list[float]:
+        """One D-only pass over the minority points; returns the step losses.
+
+        Every step's batches are drawn first, in the RNG order of the
+        per-step loop; G, frozen, runs on stacks of their neighborhoods;
+        then D trains on each step's batch in turn.
+        """
+        n_min, neb = self.dataset.minority_count, self._neb
+        draws = [
+            (*self._minority_batch(x_pos, self._rng), *self._majority_batch(x_pos, self._rng))
+            for x_pos in range(n_min)
+        ]
+        min_ids, min_rows, maj_ids, maj_rows = zip(*draws)
+        concat = np.empty((n_min, 2 * neb, self.dataset.n_features))
+        concat[:, neb:] = maj_rows
+        # the largest arrays of a stack: K, and the convolution's products of
+        # at most neb windows times the kernel
+        per_neighborhood = max(neb * neb, neb * self.generator.net.layers[0].w.size)
+        size = max(1, STACK_ELEMENTS // per_neighborhood)
+        for start in range(0, n_min, size):
+            stack = np.stack(min_rows[start:start + size])
+            concat[start:start + len(stack), :neb] = self.generator.forward_stack(stack)[1]
+        return [
+            self.discriminator_step(x_pos, (concat[x_pos], min_ids[x_pos], maj_ids[x_pos]))[3]
+            for x_pos in range(n_min)
+        ]
+
     def fit(self, dataset: Dataset) -> "ConvGeNModel":
-        """Run the full cooperative training loop on `dataset`."""
+        """Run the full cooperative training loop on `dataset`.
+
+        Each epoch runs disc_train_count D-only passes, each with its
+        batches pre-drawn in RNG order and G run once over all of them, then
+        the combined pass, one G update per minority point.
+        """
         self._setup(dataset)
         n_min = dataset.minority_count
         self.epoch_losses = []
@@ -277,8 +348,7 @@ class ConvGeNModel:
             disc_losses, gen_losses = [], []
             try:
                 for _ in range(self.config.disc_train_count):
-                    for x_pos in range(n_min):
-                        disc_losses.append(self.discriminator_step(x_pos)[3])
+                    disc_losses += self._discriminator_pass()
                 for x_pos in range(n_min):
                     gen_losses.append(self._generator_step(x_pos))
             except (nn.NNError, TrainingError) as exc:

@@ -7,8 +7,13 @@ weights and gradients are reshaped views into the flat vectors. Inputs,
 targets and upstream gradients are cast to the network's dtype once, where
 they enter `forward`, `backward` and `backward_from`, so a training step
 runs in one dtype from the input to the loss. Forward passes cache
-activations on the layer objects, backward accumulates into the gradient
-views, and the Adam step updates the whole parameter vector at once.
+activations on the layer objects. The one full backward pass between two
+Adam steps writes the gradient views (it does not add to them), and the
+Adam step updates the whole parameter vector at once and zeroes the
+gradients. The gradient with respect to the network's input is computed
+only when the caller reads it (a generator update reads it from the
+frozen discriminator); a loss-path backward stops at the first layer's
+weight gradients.
 
 Defaults the source material leaves open: Adam (beta1=0.9, beta2=0.999,
 eps=1e-8, lr=1e-3) with the bias correction folded into the step size,
@@ -36,8 +41,9 @@ class NNError(Exception):
 
 
 def activate(name: str, z: np.ndarray) -> np.ndarray:
+    """`name` applied to the pre-activation z, which relu and softmax overwrite."""
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
         # exp(-z) overflows to inf for z below about -88 in float32 (-709 in
         # float64), and 1 / (1 + inf) is then exactly the limit 0
@@ -46,12 +52,34 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "softsign":
         return z / (np.abs(z) + 1.0)
     if name == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        return z
     if name == "identity":
         return z
     raise NNError(f"unknown activation {name!r}")
+
+
+def row_windows(x: np.ndarray, kernel_rows: int) -> np.ndarray:
+    """Read-only (..., rows_out, kernel_rows, f) view of x (..., rows_in, f)
+    whose window j is x[..., j:j + kernel_rows, :]."""
+    *lead, rows_in, f = x.shape
+    return np.lib.stride_tricks.as_strided(
+        x, (*lead, rows_in - kernel_rows + 1, kernel_rows, f),
+        (*x.strides[:-1], *x.strides[-2:]), writeable=False,
+    )
+
+
+def conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stride-1 row convolution of x (..., rows_in, f) with w (kernel_rows, f).
+
+    Output row j is the sum over kernel rows r of x[j + r] * w[r], added up
+    in order of r, plus b; a leading stack axis runs many inputs at once.
+    """
+    z = np.multiply(row_windows(x, len(w)), w).sum(axis=-2)
+    z += b
+    return z
 
 
 def activation_backward(name: str, a: np.ndarray, grad_a: np.ndarray) -> np.ndarray:
@@ -90,18 +118,22 @@ class Dense:
                 f"dense layer expects (batch, {self.w.shape[0]}), got {x.shape}"
             )
         self._x = x
-        self._a = activate(self.activation, x @ self.w + self.b)
+        z = x @ self.w
+        z += self.b
+        self._a = activate(self.activation, z)
         return self._a
 
-    def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
-        """dL/d(input); also accumulates the weight gradients unless input_only."""
+    def backward(self, grad_out: np.ndarray, input_only: bool = False,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """dL/d(input), or None without input_grad; also writes the weight
+        gradients unless input_only."""
         if self._x is None:
             raise NNError("backward before forward on dense layer")
         gz = activation_backward(self.activation, self._a, grad_out)
         if not input_only:
-            self.gw += self._x.T @ gz
-            self.gb += gz.sum(axis=0)
-        return gz @ self.w.T
+            np.matmul(self._x.T, gz, out=self.gw)
+            np.add.reduce(gz, axis=0, out=self.gb)
+        return gz @ self.w.T if input_grad else None
 
     def params(self):
         return [("w", self.w, self.gw), ("b", self.b, self.gb)]
@@ -138,24 +170,26 @@ class Conv1D:
                 f"conv1d layer expects {(self.rows_in, self.features)}, got {x.shape}"
             )
         self._x = x
-        z = np.empty((self.rows_out, self.features), dtype=x.dtype)
-        for j in range(self.rows_out):
-            z[j] = (x[j:j + self.kernel_rows] * self.w).sum(axis=0) + self.b
-        self._a = activate(self.activation, z)
+        self._a = activate(self.activation, conv_rows(x, self.w, self.b))
         return self._a
 
-    def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
-        """dL/d(input); also accumulates the weight gradients unless input_only."""
+    def backward(self, grad_out: np.ndarray, input_only: bool = False,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """dL/d(input), or None without input_grad; also writes the weight
+        gradients unless input_only."""
         if self._x is None:
             raise NNError("backward before forward on conv1d layer")
         gz = activation_backward(self.activation, self._a, grad_out)
+        if not input_only:
+            # sum over output rows j, in order, of gz[j] * x[j:j + kernel_rows]
+            windows = row_windows(self._x, self.kernel_rows)
+            np.add.reduce(windows * gz[:, None, :], axis=0, out=self.gw)
+            np.add.reduce(gz, axis=0, out=self.gb)
+        if not input_grad:
+            return None
         gx = np.zeros_like(self._x)
         for j in range(self.rows_out):
             gx[j:j + self.kernel_rows] += gz[j] * self.w
-        if not input_only:
-            for j in range(self.rows_out):
-                self.gw += gz[j] * self._x[j:j + self.kernel_rows]
-            self.gb += gz.sum(axis=0)
         return gx
 
     def params(self):
@@ -172,10 +206,11 @@ class Flatten:
         self._shape = x.shape
         return x.reshape(1, -1)
 
-    def backward(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, input_only: bool = False,
+                 input_grad: bool = True) -> np.ndarray | None:
         if self._shape is None:
             raise NNError("backward before forward on flatten layer")
-        return grad_out.reshape(self._shape)
+        return grad_out.reshape(self._shape) if input_grad else None
 
     def params(self):
         return []
@@ -185,13 +220,15 @@ def loss(kind: str, predicted: np.ndarray, target: np.ndarray) -> tuple[float, n
     """(value, dvalue/dpredicted) of the mean `kind` loss ("mse" or "bce")."""
     if predicted.shape != target.shape:
         raise NNError(f"loss shape mismatch: {predicted.shape} vs {target.shape}")
+    # np.add.reduce(v, axis=None) / n is np.mean(v), without its wrapper
+    n = predicted.size
     if kind == "mse":
         diff = predicted - target
-        return float(np.mean(diff ** 2)), 2.0 * diff / predicted.size
+        return float(np.add.reduce(diff ** 2, axis=None) / n), 2.0 * diff / n
     if kind == "bce":
         p = np.clip(predicted, BCE_EPS, 1.0 - BCE_EPS)
-        value = float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
-        return value, (p - target) / (p * (1.0 - p)) / predicted.size
+        terms = target * np.log(p) + (1.0 - target) * np.log(1.0 - p)
+        return float(-(np.add.reduce(terms, axis=None) / n)), (p - target) / (p * (1.0 - p)) / n
     raise NNError(f"unknown loss {kind!r}")
 
 
@@ -229,24 +266,28 @@ class Network:
         return x
 
     def backward(self, kind: str, predicted: np.ndarray, target: np.ndarray) -> float:
-        """Accumulate dL/dparam into the gradient vector; returns the loss value."""
+        """Write dL/dparam into the gradient vector; returns the loss value."""
         target = np.asarray(target, dtype=self.params.dtype)
         value, grad = loss(kind, predicted, target)
         if not np.isfinite(value):
             raise NNError(f"non-finite {kind} loss")
-        self.backward_from(grad)
+        self.backward_from(grad, input_grad=False)
         return value
 
-    def backward_from(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray:
-        """Backpropagate an upstream gradient; returns dL/d(input).
+    def backward_from(self, grad_out: np.ndarray, input_only: bool = False,
+                      input_grad: bool = True) -> np.ndarray | None:
+        """Backpropagate an upstream gradient; returns dL/d(input) or None.
 
-        With input_only the weight gradients are neither computed nor
-        accumulated, so a frozen network needs no zero_grad afterwards.
+        The weight gradients are written, not added, so one full pass goes
+        between two steps. With input_only they are neither computed nor
+        written, so a frozen network needs no zero_grad afterwards. Without
+        input_grad the first layer computes no input gradient and None is
+        returned.
         """
         grad_out = np.asarray(grad_out, dtype=self.params.dtype)
         for i in reversed(range(len(self.layers))):
             try:
-                grad_out = self.layers[i].backward(grad_out, input_only)
+                grad_out = self.layers[i].backward(grad_out, input_only, input_grad or i > 0)
             except NNError as exc:
                 raise NNError(f"layer {i}: {exc}") from None
         self._has_grads = self._has_grads or not input_only

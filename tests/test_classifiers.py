@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,16 @@ class TestLogisticRegression:
     def test_predict_before_fit(self):
         with pytest.raises(DataError):
             LogisticRegressionClassifier().predict(np.zeros((1, 2)))
+
+    def test_huge_features_saturate_without_overflow_warning(self):
+        ds = two_blob_dataset(seed=35, separation=6.0)
+        x = ds.features * 1e12
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clf = LogisticRegressionClassifier().fit(x, ds.labels)
+            pred = clf.predict(x)
+        assert np.all(np.isfinite(clf.weights)) and np.isfinite(clf.bias)
+        assert set(pred) <= {0, 1}
 
     @pytest.mark.parametrize("labels", [[1, 2, 1, 2], [0, 0, 0, 0], [0.0, 0.5, 1.0, 1.0]])
     def test_labels_other_than_0_1_rejected(self, labels):

@@ -10,6 +10,7 @@ from convgen.classifiers import DiscriminatorClassifier
 from convgen.data import DataError, Dataset, load_csv
 from convgen.model import (
     MAX_GENERATOR_PARAMS,
+    SIMPLEX_TOL,
     ConvGeNConfig,
     ConvGeNModel,
     Generator,
@@ -153,6 +154,52 @@ class TestGeneratorForward:
         with pytest.raises(TrainingError):
             check_simplex(np.array([[0.4], [0.4]]))
 
+    def test_check_simplex_rejects_nan(self):
+        with pytest.raises(TrainingError, match="nan"):
+            check_simplex(np.full((3, 3), np.nan))
+        k = np.full((3, 3), 1.0 / 3.0)
+        k[1, 2] = np.nan
+        with pytest.raises(TrainingError):
+            check_simplex(k)
+
+    def test_check_simplex_checks_each_matrix_of_a_stack(self):
+        stack = np.full((4, 3, 3), 1.0 / 3.0)
+        check_simplex(stack)
+        stack[2, :, 1] = [0.5, 0.5, 0.5]  # one column of the third K sums to 1.5
+        with pytest.raises(TrainingError, match="1.5"):
+            check_simplex(stack)
+        stack[2, :, 1] = 1.0 / 3.0
+        stack[3, 0, 0] = -1e-3
+        with pytest.raises(TrainingError, match="negative"):
+            check_simplex(stack)
+
+
+class TestSimplexHullProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(neb=st.integers(2, 12), f=st.integers(1, 6), data=st.data())
+    def test_stacked_and_single_forward_keep_rows_in_the_hull(self, neb, f, data):
+        k_prime = data.draw(st.integers(1, neb - 1))
+        stack = data.draw(st.integers(1, 5))
+        r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        gen = Generator(neb, f, k_prime, seed=int(r.integers(2**31)))
+        gen.net.params[...] = r.normal(scale=data.draw(st.sampled_from([0.1, 1.0, 10.0])),
+                                       size=gen.net.params.size)
+        dense = gen.net.layers[-1]
+        # a negative bias shift kills some columns (all logits <= 0)
+        dense.b[...] -= data.draw(st.sampled_from([0.0, 1.0, 100.0]))
+        neighborhoods = r.normal(scale=3.0, size=(stack, neb, f))
+        ks, cs = gen.forward_stack(neighborhoods)
+        assert ks.shape == (stack, neb, neb) and cs.shape == (stack, neb, f)
+        for s in range(stack):
+            k, c = gen.forward(neighborhoods[s])
+            assert k.tobytes() == ks[s].tobytes() and c.tobytes() == cs[s].tobytes()
+            assert np.all(k >= 0.0)
+            assert np.all(np.abs(k.sum(axis=0) - 1.0) <= SIMPLEX_TOL)
+            # each synthetic row is the stored convex combination of the rows
+            assert np.max(np.abs(k.T @ neighborhoods[s] - c)) <= 1e-9
+            assert np.all(c.min(axis=0) >= neighborhoods[s].min(axis=0) - 1e-9)
+            assert np.all(c.max(axis=0) <= neighborhoods[s].max(axis=0) + 1e-9)
+
 
 class TestDiscriminatorStep:
     def test_label_tensor_layout(self):
@@ -226,6 +273,77 @@ class TestTraining:
         monkeypatch.setattr(model_mod, "check_simplex", spy)
         fitted_toy_model(epochs=2)
         assert len(calls) > 0  # would have raised on any violation
+
+
+def per_step_fit(model, dataset):
+    """ConvGeNModel.fit as one loop of steps, G running once per D step."""
+    model._setup(dataset)
+    model.epoch_losses = []
+    for epoch in range(model.config.neb_epochs):
+        disc, gen = [], []
+        for _ in range(model.config.disc_train_count):
+            for x_pos in range(dataset.minority_count):
+                disc.append(model.discriminator_step(x_pos)[3])
+        for x_pos in range(dataset.minority_count):
+            gen.append(model._generator_step(x_pos))
+        model.epoch_losses.append({
+            "epoch": epoch,
+            "disc_bce": float(np.mean(disc)) if disc else None,
+            "combined_mse": float(np.mean(gen)) if gen else None,
+        })
+    return model
+
+
+class TestBatchedDiscriminatorPasses:
+    @pytest.mark.parametrize("stack_elements", [None, 1])
+    @pytest.mark.parametrize("neb,prox", [("min", False), (5, True)])
+    def test_fit_matches_the_per_step_loop_bitwise(self, monkeypatch, neb, prox,
+                                                   stack_elements):
+        import convgen.model as model_mod
+
+        if stack_elements is not None:  # one neighborhood per stack
+            monkeypatch.setattr(model_mod, "STACK_ELEMENTS", stack_elements)
+        ds = two_blob_dataset(seed=12)
+        cfg = ConvGeNConfig(neb=neb, maj_proximal=prox, neb_epochs=3, seed=5)
+        fitted = ConvGeNModel(cfg).fit(ds)
+        reference = per_step_fit(ConvGeNModel(cfg), ds)
+        assert fitted.epoch_losses == reference.epoch_losses
+        assert fitted.discriminator.params.tobytes() == reference.discriminator.params.tobytes()
+        assert (fitted.generator.net.params.tobytes()
+                == reference.generator.net.params.tobytes())
+        assert fitted._rng.bit_generator.state == reference._rng.bit_generator.state
+
+    def test_stacks_stay_below_the_element_bound(self, monkeypatch):
+        import convgen.model as model_mod
+
+        monkeypatch.setattr(model_mod, "STACK_ELEMENTS", 400)
+        sizes = []
+        original = Generator.forward_stack
+
+        def spy(self, neighborhoods):
+            sizes.append(len(neighborhoods))
+            return original(self, neighborhoods)
+
+        monkeypatch.setattr(Generator, "forward_stack", spy)
+        ds = two_blob_dataset(seed=13)  # 12 minority rows: neb 12, 144 K entries
+        ConvGeNModel(ConvGeNConfig(neb="min", neb_epochs=1, disc_train_count=2)).fit(ds)
+        assert sum(sizes) == 2 * 12 and max(sizes) > 1
+        assert all(n * 12 * 12 <= 400 for n in sizes)
+
+    def test_d_steps_run_through_discriminator_step(self, monkeypatch):
+        calls = []
+        original = ConvGeNModel.discriminator_step
+
+        def spy(self, x_pos, batch=None):
+            calls.append(batch is None)
+            return original(self, x_pos, batch)
+
+        monkeypatch.setattr(ConvGeNModel, "discriminator_step", spy)
+        ds = two_blob_dataset(seed=14)
+        ConvGeNModel(ConvGeNConfig(neb=5, neb_epochs=2, disc_train_count=3)).fit(ds)
+        n_min = ds.minority_count
+        # per epoch: 3 pre-assembled D-only passes, then the combined pass
+        assert calls == ([False] * (3 * n_min) + [True] * n_min) * 2
 
 
 class TestGenerate:

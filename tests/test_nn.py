@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convgen import nn
 from convgen.nn import Conv1D, Dense, Flatten, Network, NNError, dense_network, grad_check
@@ -267,9 +269,11 @@ def dense_case(seed=22):
     return net, batch, "bce"
 
 
-def adam_pairs(net, batch, loss, reference, steps=25):
+def adam_pairs(net, batch, loss, reference, steps=25, backward=None):
     """After each of `steps` Adam steps: the network's params and those of the
-    per-array `reference` fed the same gradients."""
+    per-array `reference` fed the same gradients. `backward(kind, predicted,
+    target)` fills the gradients; net.backward unless given."""
+    backward = backward or net.backward
     slots = [(p, g) for layer in net.layers for _, p, g in layer.params()]
     ref = [p.copy() for p, _ in slots]
     m = [np.zeros_like(p) for p in ref]
@@ -277,7 +281,7 @@ def adam_pairs(net, batch, loss, reference, steps=25):
     r = np.random.default_rng(0)
     for t in range(1, steps + 1):
         x, target = batch(r)
-        net.backward(loss, net.forward(x), target)
+        backward(loss, net.forward(x), target)
         reference(ref, [g.copy() for _, g in slots], m, v, t, lr=1e-2)
         net.step(lr=1e-2)
         assert not net.grads.any()
@@ -381,3 +385,131 @@ class TestFlatEngine:
         assert np.array_equal(net._adam_m, before[1])
         assert np.array_equal(net._adam_v, before[2])
         assert net._adam_t == before[3]
+
+
+def mean_loss(kind, predicted, target):
+    """nn.loss as it was written with np.mean."""
+    if kind == "mse":
+        diff = predicted - target
+        return float(np.mean(diff ** 2)), 2.0 * diff / predicted.size
+    p = np.clip(predicted, nn.BCE_EPS, 1.0 - nn.BCE_EPS)
+    value = float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
+    return value, (p - target) / (p * (1.0 - p)) / predicted.size
+
+
+def accumulating_backward(net, kind, predicted, target):
+    """The engine's full backward before the lean pass: every layer adds a
+    freshly built weight gradient into its gradient views and returns its
+    input gradient, the first layer's included. Returns (loss, d(input))."""
+    value, grad = mean_loss(kind, predicted, np.asarray(target, net.params.dtype))
+    for layer in reversed(net.layers):
+        if isinstance(layer, Flatten):
+            grad = grad.reshape(layer._shape)
+            continue
+        gz = nn.activation_backward(layer.activation, layer._a, grad)
+        if isinstance(layer, Dense):
+            layer.gw += layer._x.T @ gz
+            grad = gz @ layer.w.T
+        else:
+            grad = np.zeros_like(layer._x)
+            for j in range(layer.rows_out):
+                grad[j:j + layer.kernel_rows] += gz[j] * layer.w
+            for j in range(layer.rows_out):
+                layer.gw += gz[j] * layer._x[j:j + layer.kernel_rows]
+        layer.gb += gz.sum(axis=0)
+    net._has_grads = True
+    return value, grad
+
+
+def per_row_conv(x, w, b):
+    """Conv1D.forward's convolution as a loop over output rows."""
+    kernel_rows = len(w)
+    z = np.empty((len(x) - kernel_rows + 1, x.shape[1]), dtype=x.dtype)
+    for j in range(len(z)):
+        z[j] = (x[j:j + kernel_rows] * w).sum(axis=0) + b
+    return z
+
+
+class TestLeanEngine:
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid", "softsign", "softmax", "identity"])
+    def test_dense_forward_matches_the_out_of_place_reference(self, activation):
+        net = dense_network([6, 9], [activation], seed=3)
+        x = np.random.default_rng(4).normal(scale=3.0, size=(7, 6)).astype(np.float32)
+        layer = net.layers[0]
+        z = x @ layer.w + layer.b
+        if activation == "relu":
+            expected = np.maximum(z, 0.0)
+        elif activation == "softmax":
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            expected = e / e.sum(axis=1, keepdims=True)
+        else:
+            expected = nn.activate(activation, z.copy())
+        assert net.forward(x).tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows_in=st.integers(2, 24), f=st.integers(1, 10), data=st.data())
+    def test_conv_rows_matches_the_per_row_loop(self, rows_in, f, data):
+        kernel_rows = data.draw(st.integers(2, rows_in))
+        stack = data.draw(st.integers(1, 4))
+        r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = r.normal(size=(stack, rows_in, f)).astype(np.float32)
+        w = r.normal(size=(kernel_rows, f)).astype(np.float32)
+        b = r.normal(size=f).astype(np.float32)
+        z = nn.conv_rows(x, w, b)
+        assert z.dtype == np.float32
+        for s in range(stack):
+            assert z[s].tobytes() == per_row_conv(x[s], w, b).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["mse", "bce"])
+    def test_loss_matches_np_mean(self, kind, dtype):
+        r = np.random.default_rng(5)
+        predicted = r.uniform(0.0, 1.0, size=(66, 2)).astype(dtype)
+        target = (r.uniform(size=(66, 2)) > 0.5).astype(dtype)
+        value, grad = nn.loss(kind, predicted, target)
+        ref_value, ref_grad = mean_loss(kind, predicted, target)
+        assert value == ref_value
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
+    def test_loss_path_backward_computes_no_first_input_gradient(self, case):
+        net, batch, loss = case()
+        first = net.layers[0]
+        returned = []
+        original = first.backward
+
+        def spy(*args):
+            returned.append(original(*args))
+            return returned[-1]
+
+        first.backward = spy
+        x, target = batch(np.random.default_rng(6))
+        net.backward(loss, net.forward(x), target)
+        assert len(returned) == 1 and returned[0] is None
+        assert net.grads.any()
+
+    @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
+    def test_adam_steps_match_the_accumulating_backward_bitwise(self, case):
+        net, batch, loss = case()
+        twin = net.clone()
+        lean = [p.copy() for p, _ in adam_pairs(net, batch, loss, folded_adam_step)]
+        old = [p.copy() for p, _ in adam_pairs(
+            twin, batch, loss, folded_adam_step,
+            backward=lambda *args: accumulating_backward(twin, *args))]
+        assert len(lean) == len(old) == 25
+        for a, b in zip(lean, old):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("rows_in,rows_out,f",
+                             [(6, 3, 4), (33, 17, 8), (5, 3, 1), (21, 11, 10)])
+    def test_conv_backward_matches_the_per_row_loops(self, rows_in, rows_out, f):
+        rng = np.random.default_rng(7)
+        net = Network([Conv1D(rows_in, rows_out, f, "identity", rng)])
+        twin = net.clone()
+        x, target = rng.normal(size=(rows_in, f)), rng.normal(size=(rows_out, f))
+        value, gx = accumulating_backward(twin, "mse", twin.forward(x), target)
+        assert net.backward("mse", net.forward(x), target) == value
+        assert net.grads.tobytes() == twin.grads.tobytes()
+        net.zero_grad()
+        upstream = nn.loss("mse", net.forward(x), target.astype(np.float32))[1]
+        assert net.backward_from(upstream).tobytes() == gx.tobytes()

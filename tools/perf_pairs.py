@@ -1,0 +1,113 @@
+"""Alternating parent/change pairs of perfbench runs, summarised.
+
+    python3 tools/perf_pairs.py PARENT_DIR CHANGE_DIR --workload convgen-cv \
+        --seeds 71-80 --seconds 35 [--metric folds_per_s]
+
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository. For each
+seed, `perfbench/run.py --trace 0` runs once in each checkout, one after the
+other; the side that runs first flips on every pair, the parent going first
+on the first. For every end-to-end metric the runs print, the summary gives
+each side's median and quartiles; for `--metric` it also gives the per-pair
+ratios (change / parent) and the wins, ties counting for neither side.
+
+A gain in `--metric` holds when at least ten pairs ran, the change wins at
+least nine tenths of them, and the medians differ, in the metric's better
+direction (read from BENCHMARK.json), by more than the distance between
+the parent's quartiles.
+Each run is checked to end with `correct: true`. The last line printed is
+one JSON object with every run's metrics.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'71-74,91' -> [71, 72, 73, 74, 91]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """The final JSON line of one untraced perfbench run in `checkout`."""
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent")
+    p.add_argument("change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", required=True, type=parse_seeds)
+    p.add_argument("--seconds", required=True, type=float)
+    p.add_argument("--metric", default="folds_per_s")
+    args = p.parse_args(argv)
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    if args.metric not in better:
+        p.error(f"--metric must be one of {sorted(better)}")
+    higher = better[args.metric] == "higher"
+
+    runs = {"parent": [], "change": []}
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            if not result["correct"]:
+                print(f"seed {seed}: the {side} run is not correct", file=sys.stderr)
+            runs[side].append({k: v["value"] for k, v in result["metrics"].items()})
+        par, chg = runs["parent"][-1][args.metric], runs["change"][-1][args.metric]
+        print(f"pair {i + 1} seed {seed} ({order[0]} first): parent {par:.4g} "
+              f"change {chg:.4g} ratio {chg / par:.3f}", flush=True)
+
+    print(f"\n{args.workload}, {len(args.seeds)} pairs at --seconds {args.seconds:g}")
+    print(f"{'metric':<14}{'parent q1 / median / q3':>34}{'change q1 / median / q3':>34}")
+    for name in runs["parent"][0]:
+        cells = []
+        for side in ("parent", "change"):
+            q1, q2, q3 = quartiles([r[name] for r in runs[side]])
+            cells.append(f"{q1:.4g} / {q2:.4g} / {q3:.4g}")
+        print(f"{name:<14}{cells[0]:>34}{cells[1]:>34}")
+
+    par = [r[args.metric] for r in runs["parent"]]
+    chg = [r[args.metric] for r in runs["change"]]
+    wins = sum(c > p if higher else c < p for p, c in zip(par, chg))
+    losses = sum(c < p if higher else c > p for p, c in zip(par, chg))
+    q1, median_parent, q3 = quartiles(par)
+    gap = statistics.median(chg) - median_parent
+    holds = len(par) >= 10 and wins >= 0.9 * len(par) and (gap if higher else -gap) > q3 - q1
+    print(f"\n{args.metric}: change wins {wins}, parent wins {losses} of {len(par)} pairs; "
+          f"ratios {' '.join(f'{c / p:.3f}' for p, c in zip(par, chg))}")
+    print(f"median gap {gap:+.4g} ({gap / median_parent:+.1%}), parent IQR {q3 - q1:.4g}; "
+          f"gain {'holds' if holds else 'not shown'}")
+    print(json.dumps({"workload": args.workload, "seeds": args.seeds, "runs": runs}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
