@@ -43,10 +43,8 @@ class KNNClassifier:
     def predict(self, features) -> np.ndarray:
         if self._x is None:
             raise DataError("predict before fit")
-        q = np.asarray(features, dtype=np.float64)
-        if q.shape[1] != self._x.shape[1]:
-            raise DataError(f"feature width {q.shape[1]} != fitted {self._x.shape[1]}")
-        ranked = ranked_neighbors(q, self.k, self._x)
+        # ranked_neighbors rejects a query matrix of another width
+        ranked = ranked_neighbors(features, self.k, self._x)
         votes = self._y[ranked].sum(axis=1)
         # strict majority of minority votes required; ties go to class 0
         return (2 * votes > ranked.shape[1]).astype(int)

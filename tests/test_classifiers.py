@@ -113,7 +113,7 @@ class TestKnn:
 
     def test_feature_width_mismatch(self):
         clf = KNNClassifier().fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
-        with pytest.raises(DataError, match="width"):
+        with pytest.raises(DataError, match="feature width 3 != fitted 2"):
             clf.predict(np.zeros((1, 3)))
 
 

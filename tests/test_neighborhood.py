@@ -1,8 +1,12 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convgen.neighborhood as neighborhood_mod
 from convgen.data import DataError, Dataset
 from convgen.neighborhood import knn_minority, majority_neighborhoods, ranked_neighbors
 
@@ -177,3 +181,159 @@ class TestRankedNeighbors:
         for k in (2, 4, 5):
             ranked = ranked_neighbors(queries, k, pool)
             assert np.array_equal(ranked, self.full_sort(queries, pool, k, False))
+
+
+def per_row_loop(queries, k, pool=None):
+    """The per-query brute force that the screened ranking replaced: each
+    query's distances to the whole pool, then a partition and a stable sort
+    of the rows within the k-th distance. The bitwise reference."""
+    self_query = pool is None
+    if self_query:
+        pool = queries
+    out = np.empty((len(queries), min(k, len(pool))), dtype=np.intp)
+    select = k < len(pool)
+    for i, row in enumerate(queries):
+        d2 = ((pool - row) ** 2).sum(axis=1)
+        if self_query:
+            d2[i] = -1.0
+        if select:
+            kth = np.partition(d2, k - 1)[k - 1]
+            cand = np.flatnonzero(~(d2 > kth))
+            out[i] = cand[np.argsort(d2[cand], kind="stable")[:k]]
+        else:
+            out[i] = np.argsort(d2, kind="stable")
+    return out
+
+
+def assert_same_as_loop(queries, k, pool=None):
+    """Bitwise equal indices, and no numpy warning the loop does not give."""
+    with warnings.catch_warnings(record=True) as loop_warnings:
+        warnings.simplefilter("always")
+        expected = per_row_loop(queries, k, pool)
+    with warnings.catch_warnings(record=True) as ranked_warnings:
+        warnings.simplefilter("always")
+        ranked = ranked_neighbors(queries, k, pool)
+    assert ranked.dtype == expected.dtype and ranked.shape == expected.shape
+    assert np.array_equal(ranked, expected)
+    assert not ranked_warnings or loop_warnings
+
+
+@st.composite
+def screened_case(draw):
+    """(queries or None, k, pool) over the shapes and scales the screen must
+    survive: Gaussian rows, rows offset by 1e8 with unit spread (heavy
+    cancellation in the screen), integer grids (exact ties), duplicated rows,
+    scales from 1e-150 to 1e150, self-query and cross-pool."""
+    n, f, k = draw(st.integers(1, 300)), draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["gauss", "offset", "grid"]))
+    if layout == "grid":
+        pool = rng.integers(-2, 3, size=(n, f)).astype(float)
+    else:
+        pool = rng.normal(size=(n, f)) + (1e8 if layout == "offset" else 0.0)
+    copies = draw(st.integers(0, n // 2))
+    pool[rng.integers(0, n, copies)] = pool[rng.integers(0, n, copies)]
+    scale = 10.0 ** draw(st.one_of(st.sampled_from([-150, 0, 150]), st.integers(-150, 150)))
+    pool *= scale
+    if draw(st.booleans()):
+        return None, k, pool
+    n_q = draw(st.integers(1, 40))
+    # pool rows, shifted by whole grid steps or not at all, keep distance ties
+    shift = draw(st.sampled_from([0.0, 0.5, 1.0])) * scale
+    queries = pool[rng.integers(0, n, n_q)] + shift * rng.integers(-1, 2, size=(n_q, f))
+    return queries, k, pool
+
+
+class TestScreenedRanking:
+    @settings(deadline=None, max_examples=300)
+    @given(screened_case())
+    def test_bitwise_equal_to_the_per_row_loop(self, case):
+        queries, k, pool = case
+        if queries is None:
+            assert_same_as_loop(pool, k)
+        else:
+            assert_same_as_loop(queries, k, pool)
+
+    @pytest.mark.parametrize("exponent", [-160, -155, -162])
+    def test_subnormal_products(self, exponent):
+        # squared coordinates fall below the smallest normal float: the
+        # screen's products round in absolute, not relative, terms
+        rng = np.random.default_rng(-exponent)
+        pool = rng.integers(-3, 4, size=(200, 6)) * 10.0 ** exponent
+        pool[::7] += rng.normal(size=(29, 6)) * 10.0 ** exponent
+        for k in (1, 3, 8):
+            assert_same_as_loop(pool, k)
+            assert_same_as_loop(pool[:40] * 0.5, k, pool)
+
+    @pytest.mark.parametrize("poison", ["pool_nan", "query_nan", "pool_inf", "query_inf",
+                                        "pool_neg_inf", "overflow_1e200", "all_1e200"])
+    @pytest.mark.parametrize("self_query", [True, False])
+    def test_non_finite_and_overflowing_input(self, poison, self_query):
+        rng = np.random.default_rng(43)
+        pool = rng.normal(size=(60, 4))
+        queries = rng.normal(size=(15, 4))
+        target = queries if poison.startswith("query") else pool
+        if poison.endswith("nan"):
+            target[[3, 11], 1] = np.nan
+        elif poison == "pool_neg_inf":
+            target[[3, 11], 2] = -np.inf
+        elif poison.endswith("inf"):
+            target[[3, 11], 2] = np.inf
+        elif poison == "overflow_1e200":  # squared norms overflow to inf
+            pool[[3, 11, 40]] = 1e200
+            queries[[2, 5]] = -1e200
+        else:
+            pool *= 1e200
+            queries *= 1e200
+        if self_query:
+            queries, pool = np.vstack([queries, pool]), None
+        n_pool = len(queries if pool is None else pool)
+        for k in (1, 2, 5, n_pool, n_pool + 1):
+            assert_same_as_loop(queries, k, pool)
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 120])
+    def test_block_size_does_not_change_the_ranking(self, monkeypatch, block_pairs):
+        monkeypatch.setattr(neighborhood_mod, "BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(44)
+        pool = np.repeat(rng.integers(-2, 3, size=(25, 3)).astype(float), 2, axis=0)
+        for k in (1, 4, 50):
+            assert_same_as_loop(pool, k)
+            assert_same_as_loop(pool[::3] + 0.5, k, pool)
+
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_block_temporaries_are_bounded(self, monkeypatch, finite):
+        block_pairs, f = 4096, 8
+        monkeypatch.setattr(neighborhood_mod, "BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(45)
+        pool = rng.normal(size=(2000, f))
+        if not finite:  # a NaN row makes every pool row a candidate
+            pool[17, 3] = np.nan
+        queries = rng.normal(size=(300, f))
+        pairs = (block_pairs // len(pool)) * len(pool)
+        tracemalloc.start()
+        try:
+            ranked_neighbors(queries, 5, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # whole-matrix distances would hold 300 * 2000 * f floats (38 MB);
+        # a screened block holds a few floats per pair, an all-candidate
+        # block's recheck a few rows of f floats per pair
+        per_pair = 64 if finite else 8 * (4 * f + 8)
+        assert peak <= per_pair * pairs
+
+
+class TestShapeGate:
+    def test_narrower_pool_rejected(self):
+        with pytest.raises(DataError, match="feature width 3 != fitted 1"):
+            ranked_neighbors(np.zeros((2, 3)), 2, np.zeros((4, 1)))
+
+    @pytest.mark.parametrize("queries,pool", [
+        (np.zeros(3), None),
+        (np.zeros(3), np.zeros((4, 3))),
+        (np.zeros((2, 3)), np.zeros(3)),
+        (np.zeros((2, 3, 1)), None),
+    ])
+    def test_inputs_must_be_2d(self, queries, pool):
+        with pytest.raises(DataError, match="must be 2-D"):
+            ranked_neighbors(queries, 2, pool)

@@ -14,8 +14,13 @@ A gain in `--metric` holds when at least ten pairs ran, the change wins at
 least nine tenths of them, and the medians differ, in the metric's better
 direction (read from BENCHMARK.json), by more than the distance between
 the parent's quartiles.
-Each run is checked to end with `correct: true`. The last line printed is
-one JSON object with every run's metrics.
+
+Each pair also prints whether both sides wrote the same report.json bytes
+(the `report digest` line of each run), and the summary lists the seeds
+whose digests differ. A run that does not end with `correct: true`, or
+prints no digest, is named in the summary, the gain is then not shown, and the tool exits with
+status 1. The last line printed is one JSON object with every run's
+metrics and report digest.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -40,14 +46,16 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The final JSON line of one untraced perfbench run in `checkout`."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+    """The final JSON line and the report digest (None if not printed) of
+    one untraced perfbench run in `checkout`."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    ).stdout
+    digest = re.search(r"^report digest ([0-9a-f]+);", out, re.MULTILINE)
+    return json.loads(out.strip().splitlines()[-1]), digest.group(1) if digest else None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -74,16 +82,21 @@ def main(argv=None) -> int:
     higher = better[args.metric] == "higher"
 
     runs = {"parent": [], "change": []}
+    digests = {"parent": [], "change": []}
+    incorrect = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(getattr(args, side), args.workload, seed, args.seconds)
-            if not result["correct"]:
-                print(f"seed {seed}: the {side} run is not correct", file=sys.stderr)
+            result, digest = run_once(getattr(args, side), args.workload, seed, args.seconds)
+            if not result["correct"] or digest is None:
+                incorrect.append(f"seed {seed} {side}")
             runs[side].append({k: v["value"] for k, v in result["metrics"].items()})
+            digests[side].append(digest)
         par, chg = runs["parent"][-1][args.metric], runs["change"][-1][args.metric]
+        same = digests["parent"][-1] == digests["change"][-1]
         print(f"pair {i + 1} seed {seed} ({order[0]} first): parent {par:.4g} "
-              f"change {chg:.4g} ratio {chg / par:.3f}", flush=True)
+              f"change {chg:.4g} ratio {chg / par:.3f}; report digest "
+              f"{'same' if same else 'DIFFERS'} ({str(digests['change'][-1])[:12]})", flush=True)
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs at --seconds {args.seconds:g}")
     print(f"{'metric':<14}{'parent q1 / median / q3':>34}{'change q1 / median / q3':>34}")
@@ -100,13 +113,20 @@ def main(argv=None) -> int:
     losses = sum(c < p if higher else c > p for p, c in zip(par, chg))
     q1, median_parent, q3 = quartiles(par)
     gap = statistics.median(chg) - median_parent
-    holds = len(par) >= 10 and wins >= 0.9 * len(par) and (gap if higher else -gap) > q3 - q1
+    holds = (not incorrect and len(par) >= 10 and wins >= 0.9 * len(par)
+             and (gap if higher else -gap) > q3 - q1)
     print(f"\n{args.metric}: change wins {wins}, parent wins {losses} of {len(par)} pairs; "
           f"ratios {' '.join(f'{c / p:.3f}' for p, c in zip(par, chg))}")
     print(f"median gap {gap:+.4g} ({gap / median_parent:+.1%}), parent IQR {q3 - q1:.4g}; "
           f"gain {'holds' if holds else 'not shown'}")
-    print(json.dumps({"workload": args.workload, "seeds": args.seeds, "runs": runs}))
-    return 0
+    differ = [seed for seed, a, b in zip(args.seeds, digests["parent"], digests["change"])
+              if a != b]
+    print(f"report bytes: {'same on every seed' if not differ else f'DIFFER on seeds {differ}'}")
+    if incorrect:
+        print(f"runs not correct: {', '.join(incorrect)}")
+    print(json.dumps({"workload": args.workload, "seeds": args.seeds, "runs": runs,
+                      "digests": digests}))
+    return 1 if incorrect else 0
 
 
 if __name__ == "__main__":
