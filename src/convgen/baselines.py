@@ -19,9 +19,7 @@ def repeater_sample(minority: np.ndarray, n_synthetic: int) -> np.ndarray:
     """Sequential cyclic copies of minority rows until n_synthetic are emitted."""
     if len(minority) == 0:
         raise DataError("repeater needs a non-empty minority class")
-    if n_synthetic < 0:
-        raise DataError("n_synthetic must be >= 0")
-    idx = np.arange(n_synthetic) % len(minority)
+    idx = np.arange(require_int("n_synthetic", n_synthetic, 0)) % len(minority)
     return minority[idx].copy()
 
 

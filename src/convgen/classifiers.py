@@ -4,7 +4,8 @@ predictions.
 
 All classifiers expose fit(features, labels) / predict(features) with
 labels in {0, 1}, 1 = minority; kNN, logistic regression and DoC raise
-DataError unless the training labels are exactly 0 and 1, both present.
+DataError unless the training features are 2-D, with one 1-D label per
+row, and the labels are exactly 0 and 1, both present.
 DoC trains in fit like the others: it retrains a copy of a fitted ConvGeN
 model's discriminator on the rows it is given. Predictions are
 deterministic; kNN breaks even-vote ties toward the majority class
@@ -19,11 +20,18 @@ from .data import DataError, require_int
 from .neighborhood import ranked_neighbors
 
 
-def _check_binary_labels(labels) -> None:
-    """Training labels must be exactly {0, 1}, both present."""
-    present = np.unique(labels)
+def _training_set(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """(float64 features, labels) of a training set: 2-D features, one
+    label per row, and the labels exactly {0, 1}, both present."""
+    x, y = np.asarray(features, dtype=np.float64), np.asarray(labels)
+    if x.ndim != 2 or y.shape != x.shape[:1]:
+        raise DataError(
+            f"training needs 2-D features and one label per row; got shapes {x.shape}, {y.shape}"
+        )
+    present = np.unique(y)
     if not np.array_equal(present, (0, 1)):
         raise DataError(f"training labels must be 0 and 1, both present; got {present[:5]}")
+    return x, y
 
 
 class KNNClassifier:
@@ -35,9 +43,8 @@ class KNNClassifier:
         self._y = None
 
     def fit(self, features, labels):
-        _check_binary_labels(labels)
-        self._x = np.asarray(features, dtype=np.float64)
-        self._y = np.asarray(labels, dtype=int)
+        self._x, y = _training_set(features, labels)
+        self._y = y.astype(int)
         return self
 
     def predict(self, features) -> np.ndarray:
@@ -81,9 +88,8 @@ class LogisticRegressionClassifier:
         return np.divide(1.0, z, out=z)
 
     def fit(self, features, labels):
-        _check_binary_labels(labels)
-        x = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.float64)
+        x, y = _training_set(features, labels)
+        y = y.astype(np.float64)
         n, f = x.shape
         self.weights = np.zeros(f)
         self.bias = 0.0
@@ -126,8 +132,8 @@ class LogisticRegressionClassifier:
         if self.weights is None:
             raise DataError("predict before fit")
         x = np.asarray(features, dtype=np.float64)
-        if x.shape[1] != len(self.weights):
-            raise DataError(f"feature width {x.shape[1]} != fitted {len(self.weights)}")
+        if x.ndim != 2 or x.shape[1] != len(self.weights):
+            raise DataError(f"features must be (rows, {len(self.weights)}), got shape {x.shape}")
         with np.errstate(over="ignore"):
             p = self._sigmoid(x @ self.weights + self.bias)
         # p == 0.5 exactly (e.g. zero weights) resolves to the majority class
@@ -142,8 +148,7 @@ class DiscriminatorClassifier:
         self.network = None
 
     def fit(self, features, labels):
-        _check_binary_labels(labels)
-        self.network = self.model.retrain_doc(features, labels)
+        self.network = self.model.retrain_doc(*_training_set(features, labels))
         return self
 
     def predict(self, features) -> np.ndarray:

@@ -9,12 +9,14 @@ batches, and the two are trained cooperatively: several discriminator-only
 passes per epoch, then one combined pass that updates the generator
 through the frozen discriminator with an MSE objective on the labels.
 
-The generator is frozen during a discriminator-only pass, so each such
-pass draws every step's minority shuffle and majority choice up front, in
-the order the per-step loop would draw them, runs the generator once over
-the stacked neighborhoods (`Generator.forward_stack`, bitwise equal to
-`Generator.forward` on each), and then trains the discriminator step by
-step on the assembled batches.
+Every pass draws all its steps' minority shuffles and majority choices up
+front (`_draws`), in the order a per-step loop would draw them; no draw
+depends on the weights. The generator is frozen during a
+discriminator-only pass, so it runs once over stacks of that pass's
+neighborhoods (`Generator.forward_stack`, bitwise equal to
+`Generator.forward` on each) before the discriminator trains step by step
+on the assembled batches. Both generator methods run the same network
+layers.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ SIMPLEX_TOL = 1e-5
 STACK_ELEMENTS = 1 << 20
 LEARNING_RATE = 1e-3
 DISC_HIDDEN = (250, 125, 75)
+# DoC: the discriminator copy retrained as a classifier, in shuffled minibatches
+DOC_EPOCHS = 10
+DOC_BATCH_SIZE = 64
 # The largest generator _setup builds. Training holds 5 float32 vectors per
 # parameter (params, grads, Adam m and v, the step scratch), 20 bytes each, so
 # this is ~400 MB; neb="min" on a few hundred minority rows goes far past it.
@@ -136,7 +141,6 @@ class Generator:
         self.net = nn.Network(
             [
                 nn.Conv1D(neb, k_prime, n_features, "identity", rng),
-                nn.Flatten(),
                 nn.Dense(k_prime * n_features, neb * neb, "identity", rng),
             ]
         )
@@ -155,35 +159,29 @@ class Generator:
             raise DataError(
                 f"neighborhood must be {(self.neb, self.n_features)}, got {neighborhood.shape}"
             )
-        logits = self.net.forward(neighborhood).reshape(self.neb, self.neb).astype(np.float64)
-        self._logits = logits
-        self._k, self._sums = self._normalize(logits)
-        return self._k, self._k.T @ neighborhood
+        self._logits, self._k, self._sums, c = self._forward(neighborhood)
+        return self._k, c
 
     def forward_stack(self, neighborhoods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(K, C) stacks for an (S, neb, f) stack of neighborhoods, bitwise
-        equal to forward on each; caches nothing, so no backward follows."""
-        conv, _, dense = self.net.layers
-        x = neighborhoods.astype(self.net.params.dtype)
-        flat = nn.activate(conv.activation, nn.conv_rows(x, conv.w, conv.b))
-        # one (1, k'f) x (k'f, neb^2) product per neighborhood, as in forward
-        logits = np.matmul(flat.reshape(len(x), 1, -1), dense.w)
-        logits += dense.b
-        logits = nn.activate(dense.activation, logits)
-        if not np.all(np.isfinite(logits)):
-            raise nn.NNError("non-finite values in forward output")
-        k, _ = self._normalize(logits.reshape(-1, self.neb, self.neb).astype(np.float64))
-        return k, np.matmul(np.swapaxes(k, -1, -2), neighborhoods)
+        equal to forward on each; clears forward's cache, so no backward follows."""
+        self._logits = None
+        _, k, _, c = self._forward(neighborhoods)
+        return k, c
 
-    def _normalize(self, logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K, column sums) from (..., neb, neb) logits: ReLU, then each column
-        over its sum; a column with no positive logit is uniform, 1/neb."""
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(logits, K, column sums, C) for (..., neb, f) neighborhoods x.
+
+        K is the ReLU of the logits with each column divided by its sum; a
+        column with no positive logit is uniform, 1/neb.
+        """
+        logits = self.net.forward(x).reshape(*x.shape[:-2], self.neb, self.neb).astype(np.float64)
         pos = np.maximum(logits, 0.0)
         sums = pos.sum(axis=-2, keepdims=True)
         live = sums > 0.0
         k = np.where(live, pos / np.where(live, sums, 1.0), 1.0 / self.neb)
         check_simplex(k)
-        return k, sums
+        return logits, k, sums, np.matmul(np.swapaxes(k, -1, -2), x)
 
     def backward_from_dk(self, dk: np.ndarray) -> None:
         """Backpropagate a gradient w.r.t. K through normalization and the net."""
@@ -273,53 +271,30 @@ class ConvGeNModel:
 
     # -- training steps --------------------------------------------------
 
-    def discriminator_step(self, x_pos: int, batch=None):
-        """One Algorithm-2 step: build batches, train D once on BCE.
+    def _draws(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One pass's (minority neighborhood rows, majority rows) per minority
+        point, drawn in the RNG order of a per-step loop."""
+        return [
+            (self._minority_batch(x_pos, self._rng)[1], self._majority_batch(x_pos, self._rng)[1])
+            for x_pos in range(self.dataset.minority_count)
+        ]
 
-        `batch` is the step's pre-assembled (concat, minority row ids,
-        majority row ids); when None, they are drawn here and G runs on the
-        minority batch. Returns (concat batch, minority row ids, majority
-        row ids, loss).
-        """
-        if batch is None:
-            min_ids, min_rows = self._minority_batch(x_pos, self._rng)
-            _, conv_samples = self.generator.forward(min_rows)
-            maj_ids, maj_rows = self._majority_batch(x_pos, self._rng)
-            concat = np.vstack([conv_samples, maj_rows])
-        else:
-            concat, min_ids, maj_ids = batch
+    def discriminator_step(self, concat: np.ndarray) -> float:
+        """One Algorithm-2 step: train D once on BCE over a (2 neb, f) batch,
+        synthetic rows first; returns the loss."""
         pred = self.discriminator.forward(concat)
         loss = self.discriminator.backward("bce", pred, self._labels)
         self.discriminator.step(LEARNING_RATE)
-        return concat, min_ids, maj_ids, loss
-
-    def _generator_step(self, x_pos: int) -> float:
-        """Combined pass for one minority point: D trains once, then G
-        updates through the frozen D against the MSE objective."""
-        # G is unchanged since discriminator_step ran it on these rows, so
-        # its concat and the generator's cached forward state still hold
-        concat, min_ids, _, _ = self.discriminator_step(x_pos)
-        pred = self.discriminator.forward(concat)
-        loss, grad = nn.loss("mse", pred, self._labels)
-        # D stays frozen in this step: only the gradient w.r.t. its input
-        dc = self.discriminator.backward_from(grad, input_only=True)[: self._neb]
-        self.generator.backward_from_dk(self.dataset.features[min_ids] @ dc.T)
-        self.generator.step(LEARNING_RATE)
         return loss
 
     def _discriminator_pass(self) -> list[float]:
         """One D-only pass over the minority points; returns the step losses.
 
-        Every step's batches are drawn first, in the RNG order of the
-        per-step loop; G, frozen, runs on stacks of their neighborhoods;
-        then D trains on each step's batch in turn.
+        G, frozen, runs on stacks of the drawn neighborhoods; then D trains
+        on each step's batch in turn.
         """
-        n_min, neb = self.dataset.minority_count, self._neb
-        draws = [
-            (*self._minority_batch(x_pos, self._rng), *self._majority_batch(x_pos, self._rng))
-            for x_pos in range(n_min)
-        ]
-        min_ids, min_rows, maj_ids, maj_rows = zip(*draws)
+        min_rows, maj_rows = zip(*self._draws())
+        n_min, neb = len(min_rows), self._neb
         concat = np.empty((n_min, 2 * neb, self.dataset.n_features))
         concat[:, neb:] = maj_rows
         # the largest arrays of a stack: K, and the convolution's products of
@@ -329,28 +304,40 @@ class ConvGeNModel:
         for start in range(0, n_min, size):
             stack = np.stack(min_rows[start:start + size])
             concat[start:start + len(stack), :neb] = self.generator.forward_stack(stack)[1]
-        return [
-            self.discriminator_step(x_pos, (concat[x_pos], min_ids[x_pos], maj_ids[x_pos]))[3]
-            for x_pos in range(n_min)
-        ]
+        return [self.discriminator_step(batch) for batch in concat]
+
+    def _combined_pass(self) -> list[float]:
+        """One combined pass; returns the MSE losses. Per minority point, D
+        trains once, then G updates through the frozen D against the MSE
+        objective."""
+        losses = []
+        for min_rows, maj_rows in self._draws():
+            concat = np.vstack([self.generator.forward(min_rows)[1], maj_rows])
+            self.discriminator_step(concat)
+            loss, grad = nn.loss("mse", self.discriminator.forward(concat), self._labels)
+            # D stays frozen in this step: only the gradient w.r.t. its input
+            dc = self.discriminator.backward_from(grad, input_only=True)[: self._neb]
+            # G's forward cache still holds min_rows: D's step does not touch G
+            self.generator.backward_from_dk(min_rows @ dc.T)
+            self.generator.step(LEARNING_RATE)
+            losses.append(loss)
+        return losses
 
     def fit(self, dataset: Dataset) -> "ConvGeNModel":
         """Run the full cooperative training loop on `dataset`.
 
-        Each epoch runs disc_train_count D-only passes, each with its
-        batches pre-drawn in RNG order and G run once over all of them, then
-        the combined pass, one G update per minority point.
+        Each epoch runs disc_train_count D-only passes, with G run once over
+        all of a pass's neighborhoods, then the combined pass, one G update
+        per minority point.
         """
         self._setup(dataset)
-        n_min = dataset.minority_count
         self.epoch_losses = []
         for epoch in range(self.config.neb_epochs):
-            disc_losses, gen_losses = [], []
+            disc_losses = []
             try:
                 for _ in range(self.config.disc_train_count):
                     disc_losses += self._discriminator_pass()
-                for x_pos in range(n_min):
-                    gen_losses.append(self._generator_step(x_pos))
+                gen_losses = self._combined_pass()
             except (nn.NNError, TrainingError) as exc:
                 raise TrainingError(f"epoch {epoch}: {exc}") from exc
             self.epoch_losses.append(
@@ -371,11 +358,9 @@ class ConvGeNModel:
     def generate(self, n_synthetic: int) -> list[SyntheticBatch]:
         """Round-robin over minority neighborhoods until n_synthetic rows."""
         self._require_fitted()
-        if n_synthetic < 0:
-            raise DataError("n_synthetic must be >= 0")
+        remaining = require_int("n_synthetic", n_synthetic, 0)
         rng = np.random.default_rng(derive_seed(self.config.seed, "generate"))
         batches: list[SyntheticBatch] = []
-        remaining = n_synthetic
         x_pos = 0
         n_min = self.dataset.minority_count
         while remaining > 0:
@@ -399,8 +384,7 @@ class ConvGeNModel:
             return np.empty((0, self.dataset.n_features))
         return np.vstack([b.samples for b in batches])
 
-    def retrain_doc(self, features, labels, epochs: int = 10,
-                    batch_size: int = 64) -> nn.Network:
+    def retrain_doc(self, features, labels) -> nn.Network:
         """A copy of D retrained on labelled rows (1 = minority), typically the
         training data balanced with synthetic rows; D itself is untouched."""
         self._require_fitted()
@@ -408,10 +392,10 @@ class ConvGeNModel:
         targets = np.where((np.asarray(labels) == 1)[:, None], [[1.0, 0.0]], [[0.0, 1.0]])
         doc = self.discriminator.clone()
         rng = np.random.default_rng(derive_seed(self.config.seed, "doc"))
-        for _ in range(epochs):
+        for _ in range(DOC_EPOCHS):
             order = rng.permutation(len(features))
-            for start in range(0, len(features), batch_size):
-                sel = order[start:start + batch_size]
+            for start in range(0, len(features), DOC_BATCH_SIZE):
+                sel = order[start:start + DOC_BATCH_SIZE]
                 pred = doc.forward(features[sel])
                 doc.backward("bce", pred, targets[sel])
                 doc.step(LEARNING_RATE)

@@ -13,7 +13,14 @@ Adam step updates the whole parameter vector at once and zeroes the
 gradients. The gradient with respect to the network's input is computed
 only when the caller reads it (a generator update reads it from the
 frozen discriminator); a loss-path backward stops at the first layer's
-weight gradients.
+weight gradients. A convolution computes no input gradient, so a network
+trains it only as its first layer.
+
+Both layers' forward passes take leading stack axes: a (S, ..., n) input
+runs S inputs at once, each bitwise as it runs alone, for a network that
+only predicts (ConvGeN's frozen generator); a backward follows a forward
+of one unstacked input. Conv1D emits its output already flattened to one
+row, the shape a following Dense layer takes.
 
 Defaults the source material leaves open: Adam (beta1=0.9, beta2=0.999,
 eps=1e-8, lr=1e-3) with the bias correction folded into the step size,
@@ -52,9 +59,9 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "softsign":
         return z / (np.abs(z) + 1.0)
     if name == "softmax":
-        z -= z.max(axis=1, keepdims=True)
+        z -= z.max(axis=-1, keepdims=True)
         np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
+        z /= z.sum(axis=-1, keepdims=True)
         return z
     if name == "identity":
         return z
@@ -71,17 +78,6 @@ def row_windows(x: np.ndarray, kernel_rows: int) -> np.ndarray:
     )
 
 
-def conv_rows(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stride-1 row convolution of x (..., rows_in, f) with w (kernel_rows, f).
-
-    Output row j is the sum over kernel rows r of x[j + r] * w[r], added up
-    in order of r, plus b; a leading stack axis runs many inputs at once.
-    """
-    z = np.multiply(row_windows(x, len(w)), w).sum(axis=-2)
-    z += b
-    return z
-
-
 def activation_backward(name: str, a: np.ndarray, grad_a: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. pre-activation z, given post-activation a and dL/da."""
     if name == "relu":
@@ -92,7 +88,7 @@ def activation_backward(name: str, a: np.ndarray, grad_a: np.ndarray) -> np.ndar
         # a = z/(1+|z|)  =>  da/dz = (1-|a|)^2
         return grad_a * (1.0 - np.abs(a)) ** 2
     if name == "softmax":
-        dot = (grad_a * a).sum(axis=1, keepdims=True)
+        dot = (grad_a * a).sum(axis=-1, keepdims=True)
         return a * (grad_a - dot)
     if name == "identity":
         return grad_a
@@ -100,7 +96,7 @@ def activation_backward(name: str, a: np.ndarray, grad_a: np.ndarray) -> np.ndar
 
 
 class Dense:
-    """Fully connected layer: (batch, n_in) -> (batch, n_out)."""
+    """Fully connected layer: (..., batch, n_in) -> (..., batch, n_out)."""
 
     def __init__(self, n_in: int, n_out: int, activation: str, rng: np.random.Generator) -> None:
         limit = np.sqrt(6.0 / (n_in + n_out))
@@ -113,9 +109,9 @@ class Dense:
         self._a = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
+        if x.ndim < 2 or x.shape[-1] != self.w.shape[0]:
             raise NNError(
-                f"dense layer expects (batch, {self.w.shape[0]}), got {x.shape}"
+                f"dense layer expects (..., batch, {self.w.shape[0]}), got {x.shape}"
             )
         self._x = x
         z = x @ self.w
@@ -140,11 +136,13 @@ class Dense:
 
 
 class Conv1D:
-    """Row-reducing 1-D convolution over a (rows_in, features) matrix.
+    """Row-reducing 1-D convolution: (..., rows_in, features) -> (..., 1, rows_out * features).
 
     One depthwise kernel per feature column slides along the row axis with
-    stride 1, so rows_out = rows_in - kernel_rows + 1. Used to compress a
-    neighborhood batch of rows_in samples down to rows_out.
+    stride 1, so rows_out = rows_in - kernel_rows + 1; output row j is the
+    sum over kernel rows r of x[j + r] * w[r], added up in order of r, plus
+    b. Used to compress a neighborhood batch of rows_in samples down to
+    rows_out, which are emitted flattened to one row.
     """
 
     def __init__(self, rows_in: int, rows_out: int, features: int, activation: str,
@@ -165,55 +163,33 @@ class Conv1D:
         self._a = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.rows_in, self.features):
+        if x.shape[-2:] != (self.rows_in, self.features):
             raise NNError(
-                f"conv1d layer expects {(self.rows_in, self.features)}, got {x.shape}"
+                f"conv1d layer expects (..., {self.rows_in}, {self.features}), got {x.shape}"
             )
         self._x = x
-        self._a = activate(self.activation, conv_rows(x, self.w, self.b))
-        return self._a
+        z = np.multiply(row_windows(x, self.kernel_rows), self.w).sum(axis=-2)
+        z += self.b
+        self._a = activate(self.activation, z)
+        return self._a.reshape(*x.shape[:-2], 1, -1)
 
     def backward(self, grad_out: np.ndarray, input_only: bool = False,
-                 input_grad: bool = True) -> np.ndarray | None:
-        """dL/d(input), or None without input_grad; also writes the weight
-        gradients unless input_only."""
+                 input_grad: bool = True) -> None:
+        """Writes the weight gradients unless input_only; the input gradient
+        is never computed, so asking for it is an error."""
         if self._x is None:
             raise NNError("backward before forward on conv1d layer")
-        gz = activation_backward(self.activation, self._a, grad_out)
+        if input_grad:
+            raise NNError("conv1d layer computes no input gradient")
         if not input_only:
+            gz = activation_backward(self.activation, self._a, grad_out.reshape(self._a.shape))
             # sum over output rows j, in order, of gz[j] * x[j:j + kernel_rows]
             windows = row_windows(self._x, self.kernel_rows)
             np.add.reduce(windows * gz[:, None, :], axis=0, out=self.gw)
             np.add.reduce(gz, axis=0, out=self.gb)
-        if not input_grad:
-            return None
-        gx = np.zeros_like(self._x)
-        for j in range(self.rows_out):
-            gx[j:j + self.kernel_rows] += gz[j] * self.w
-        return gx
 
     def params(self):
         return [("w", self.w, self.gw), ("b", self.b, self.gb)]
-
-
-class Flatten:
-    """Reshape (rows, cols) -> (1, rows*cols); parameter-free."""
-
-    def __init__(self) -> None:
-        self._shape = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(1, -1)
-
-    def backward(self, grad_out: np.ndarray, input_only: bool = False,
-                 input_grad: bool = True) -> np.ndarray | None:
-        if self._shape is None:
-            raise NNError("backward before forward on flatten layer")
-        return grad_out.reshape(self._shape) if input_grad else None
-
-    def params(self):
-        return []
 
 
 def loss(kind: str, predicted: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

@@ -104,14 +104,20 @@ def test_simplex_and_hull_invariants(capsys, monkeypatch):
     """Every K emitted during a full toy training run is a valid simplex
     matrix and every synthetic row reconstructs from its coefficients."""
     recorded = []
-    original = Generator.forward
+    original, original_stack = Generator.forward, Generator.forward_stack
 
     def recording(self, neighborhood):
         k, c = original(self, neighborhood)
         recorded.append((neighborhood.copy(), k.copy(), c.copy()))
         return k, c
 
+    def recording_stack(self, neighborhoods):
+        ks, cs = original_stack(self, neighborhoods)
+        recorded.extend(zip(neighborhoods.copy(), ks.copy(), cs.copy()))
+        return ks, cs
+
     monkeypatch.setattr(Generator, "forward", recording)
+    monkeypatch.setattr(Generator, "forward_stack", recording_stack)
 
     dataset = two_blob_dataset(seed=7, n_majority=60, n_minority=12)
     started = time.perf_counter()

@@ -21,6 +21,11 @@ class TestRepeater:
     def test_zero_request_is_empty(self):
         assert len(repeater_sample(np.ones((3, 2)), 0)) == 0
 
+    @pytest.mark.parametrize("n", [2.0, True, -1])
+    def test_non_integer_or_negative_request_rejected(self, n):
+        with pytest.raises(DataError, match="n_synthetic must be an integer >= 0"):
+            repeater_sample(np.ones((3, 2)), n)
+
     def test_restores_exact_balance(self):
         n_min, n_maj = 7, 31
         minority = np.random.default_rng(0).normal(size=(n_min, 3))

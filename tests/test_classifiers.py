@@ -202,6 +202,43 @@ class TestDiscriminatorClassifier:
             DiscriminatorClassifier(model).fit(np.arange(8.0).reshape(4, 2), np.array(labels))
 
 
+MALFORMED_TRAINING_SETS = {
+    "1-D features": (np.zeros(4), [0, 1, 0, 1]),
+    "3-D features": (np.zeros((4, 2, 1)), [0, 1, 0, 1]),
+    "more labels than rows": (np.zeros((3, 2)), [0, 1, 0, 1]),
+    "fewer labels than rows": (np.zeros((5, 2)), [0, 1, 0, 1]),
+    "2-D labels": (np.zeros((4, 2)), [[0], [1], [0], [1]]),
+    "scalar label": (np.zeros((1, 2)), 1),
+}
+
+
+@pytest.fixture(scope="module")
+def toy_model():
+    return ConvGeNModel(ConvGeNConfig(neb=5, neb_epochs=0, seed=2)).fit(two_blob_dataset())
+
+
+@pytest.mark.parametrize("case", MALFORMED_TRAINING_SETS)
+@pytest.mark.parametrize("make", [
+    lambda model: KNNClassifier(k=1),
+    lambda model: LogisticRegressionClassifier(),
+    DiscriminatorClassifier,
+], ids=["knn", "logreg", "doc"])
+def test_malformed_training_set_rejected(toy_model, make, case):
+    features, labels = MALFORMED_TRAINING_SETS[case]
+    clf = make(toy_model)
+    with pytest.raises(DataError, match="2-D features and one label per row"):
+        clf.fit(features, np.array(labels))
+
+
+@pytest.mark.parametrize("features", [np.zeros(2), np.zeros((1, 2, 1)), np.zeros((1, 3))],
+                         ids=["1-D", "3-D", "wider"])
+def test_logreg_predict_rejects_other_shapes(features):
+    ds = two_blob_dataset(seed=36)
+    clf = LogisticRegressionClassifier(iterations=5).fit(ds.features, ds.labels)
+    with pytest.raises(DataError, match=r"features must be \(rows, 2\)"):
+        clf.predict(features)
+
+
 class TestExternalPredictions:
     def test_reads_aligned_labels(self, tmp_path):
         path = tmp_path / "preds.csv"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from convgen import nn
 from convgen.classifiers import DiscriminatorClassifier
 from convgen.data import DataError, Dataset, load_csv
 from convgen.model import (
@@ -143,6 +144,14 @@ class TestGeneratorForward:
         live = [g for g in range(neb) if g != dead]
         assert np.any(gw[:, :, live] != 0.0) and np.any(gb[:, live] != 0.0)
 
+    def test_forward_stack_leaves_nothing_to_backpropagate(self):
+        gen = Generator(neb=4, n_features=3, k_prime=2, seed=0)
+        stack = np.random.default_rng(1).normal(size=(2, 4, 3))
+        gen.forward(stack[0])
+        gen.forward_stack(stack)
+        with pytest.raises(nn.NNError, match="before forward"):
+            gen.backward_from_dk(np.ones((4, 4)))
+
     def test_wrong_neighborhood_shape(self):
         gen = Generator(neb=4, n_features=3, k_prime=2, seed=0)
         with pytest.raises(DataError, match="neighborhood"):
@@ -212,11 +221,18 @@ class TestDiscriminatorStep:
 
     def test_batches_and_training_effect(self):
         model, ds = fitted_toy_model(epochs=0)
+        neb = model.generator.neb
+        draws = model._draws()
+        assert len(draws) == ds.minority_count
+        minority = {tuple(row) for row in ds.features[ds.minority_indices]}
+        majority = {tuple(row) for row in ds.features[ds.majority_indices]}
+        for min_rows, maj_rows in draws:
+            assert min_rows.shape == maj_rows.shape == (neb, ds.n_features)
+            assert {tuple(row) for row in min_rows} <= minority
+            assert {tuple(row) for row in maj_rows} <= majority
         before = model.discriminator.layers[0].w.copy()
-        concat, min_ids, maj_ids, loss = model.discriminator_step(0)
-        assert concat.shape == (2 * model.generator.neb, ds.n_features)
-        assert set(min_ids) <= set(ds.minority_indices)
-        assert set(maj_ids) <= set(ds.majority_indices)
+        min_rows, maj_rows = draws[0]
+        loss = model.discriminator_step(np.vstack([model.generator.forward(min_rows)[1], maj_rows]))
         assert np.isfinite(loss)
         assert not np.array_equal(before, model.discriminator.layers[0].w)
 
@@ -224,16 +240,19 @@ class TestDiscriminatorStep:
         ds = two_blob_dataset(seed=8, n_majority=6, n_minority=8)
         cfg = ConvGeNConfig(neb=8, maj_proximal=True, neb_epochs=0, seed=1)
         model = ConvGeNModel(cfg).fit(ds)
-        _, _, maj_ids, _ = model.discriminator_step(0)
+        maj_ids, maj_rows = model._majority_batch(0, model._rng)
         # pool smaller than gen: sampling with replacement from all majority rows
         assert set(maj_ids) <= set(ds.majority_indices)
         assert len(maj_ids) == 8
+        assert np.array_equal(maj_rows, ds.features[maj_ids])
 
     def test_loss_trends_down_on_separable_data(self):
         ds = two_blob_dataset(seed=9, separation=6.0)
         cfg = ConvGeNConfig(neb=5, neb_epochs=0, seed=2)
         model = ConvGeNModel(cfg).fit(ds)
-        losses = [model.discriminator_step(i % ds.minority_count)[3] for i in range(50)]
+        batches = [np.vstack([model.generator.forward(min_rows)[1], maj_rows])
+                   for min_rows, maj_rows in model._draws()]
+        losses = [model.discriminator_step(batches[i % len(batches)]) for i in range(50)]
         smoothed = np.convolve(losses, np.ones(10) / 10, mode="valid")
         assert smoothed[-1] < smoothed[0]
 
@@ -276,16 +295,31 @@ class TestTraining:
 
 
 def per_step_fit(model, dataset):
-    """ConvGeNModel.fit as one loop of steps, G running once per D step."""
+    """ConvGeNModel.fit as one loop of steps, each drawing its own batches and
+    running G once on its neighborhood."""
     model._setup(dataset)
     model.epoch_losses = []
+    neb = model.generator.neb
+
+    def step(x_pos):
+        min_ids, min_rows = model._minority_batch(x_pos, model._rng)
+        _, conv_samples = model.generator.forward(min_rows)
+        _, maj_rows = model._majority_batch(x_pos, model._rng)
+        concat = np.vstack([conv_samples, maj_rows])
+        return min_ids, concat, model.discriminator_step(concat)
+
     for epoch in range(model.config.neb_epochs):
         disc, gen = [], []
         for _ in range(model.config.disc_train_count):
             for x_pos in range(dataset.minority_count):
-                disc.append(model.discriminator_step(x_pos)[3])
+                disc.append(step(x_pos)[2])
         for x_pos in range(dataset.minority_count):
-            gen.append(model._generator_step(x_pos))
+            min_ids, concat, _ = step(x_pos)
+            loss, grad = nn.loss("mse", model.discriminator.forward(concat), model._labels)
+            dc = model.discriminator.backward_from(grad, input_only=True)[:neb]
+            model.generator.backward_from_dk(dataset.features[min_ids] @ dc.T)
+            model.generator.step()
+            gen.append(loss)
         model.epoch_losses.append({
             "epoch": epoch,
             "disc_bce": float(np.mean(disc)) if disc else None,
@@ -334,15 +368,17 @@ class TestBatchedDiscriminatorPasses:
         calls = []
         original = ConvGeNModel.discriminator_step
 
-        def spy(self, x_pos, batch=None):
-            calls.append(batch is None)
-            return original(self, x_pos, batch)
+        def spy(self, concat):
+            # G holds a forward cache in the combined pass only: a D-only
+            # pass runs G on stacks, which leaves none
+            calls.append(self.generator._logits is not None)
+            return original(self, concat)
 
         monkeypatch.setattr(ConvGeNModel, "discriminator_step", spy)
         ds = two_blob_dataset(seed=14)
         ConvGeNModel(ConvGeNConfig(neb=5, neb_epochs=2, disc_train_count=3)).fit(ds)
         n_min = ds.minority_count
-        # per epoch: 3 pre-assembled D-only passes, then the combined pass
+        # per epoch: 3 D-only passes on stacked generator output, then the combined pass
         assert calls == ([False] * (3 * n_min) + [True] * n_min) * 2
 
 
@@ -351,6 +387,12 @@ class TestGenerate:
         model, _ = fitted_toy_model(epochs=1)
         assert model.generate(0) == []
         assert model.synthetic_rows(0).shape == (0, 2)
+
+    @pytest.mark.parametrize("n", [2.5, True, -1, "3"])
+    def test_non_integer_or_negative_count_rejected(self, n):
+        model, _ = fitted_toy_model(epochs=0)
+        with pytest.raises(DataError, match="n_synthetic must be an integer >= 0"):
+            model.generate(n)
 
     def test_balancing_count_from_abalone_sized_classes(self, abalone_path):
         from convgen.data import load_csv
@@ -399,12 +441,9 @@ def balanced_set(model, ds):
 
 class TestDoc:
     def test_default_retraining_epochs(self):
-        import inspect
+        import convgen.model as model_mod
 
-        from convgen.model import ConvGeNModel
-
-        sig = inspect.signature(ConvGeNModel.retrain_doc)
-        assert sig.parameters["epochs"].default == 10
+        assert (model_mod.DOC_EPOCHS, model_mod.DOC_BATCH_SIZE) == (10, 64)
 
     def test_predictions_are_argmax_of_two_outputs(self):
         model, ds = fitted_toy_model(epochs=2)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convgen import nn
-from convgen.nn import Conv1D, Dense, Flatten, Network, NNError, dense_network, grad_check
+from convgen.nn import Conv1D, Dense, Network, NNError, dense_network, grad_check
 
 
 def single_dense(n_in, n_out, activation, weights=None, bias=None, seed=0):
@@ -208,7 +208,6 @@ class TestGradCheck:
         rng = np.random.default_rng(15)
         net = Network([
             Conv1D(6, 3, 4, "identity", rng),
-            Flatten(),
             Dense(12, 5, "relu", rng),
             Dense(5, 2, "softmax", rng),
         ])
@@ -253,7 +252,7 @@ def folded_adam_step(params, grads, m, v, t, lr):
 def conv_dense_case(seed=21):
     """A generator-shaped stack, input rows and an MSE target."""
     rng = np.random.default_rng(seed)
-    net = Network([Conv1D(6, 3, 4, "identity", rng), Flatten(), Dense(12, 36, "identity", rng)])
+    net = Network([Conv1D(6, 3, 4, "identity", rng), Dense(12, 36, "identity", rng)])
     return net, lambda r: (r.normal(size=(6, 4)), r.normal(size=(1, 36))), "mse"
 
 
@@ -317,14 +316,17 @@ class TestFlatEngine:
         assert x.dtype == target.dtype == np.float64
         pred = net.forward(x)
         net.backward(loss, pred, target)
-        d_input = net.backward_from(nn.loss(loss, pred, target)[1])
+        # a network that starts with a convolution has no input gradient
+        d_input = net.backward_from(nn.loss(loss, pred, target)[1],
+                                    input_grad=not isinstance(net.layers[0], Conv1D))
         net.step()
         for owner in (net, net.clone()):
             layers = [layer for layer in owner.layers if layer.params()]
             arrays = [owner.params, owner.grads, owner._adam_m, owner._adam_v]
             arrays += [getattr(layer, name) for layer in layers for name in ("w", "b", "gw", "gb")]
             assert all(a.dtype == np.float32 for a in arrays)
-        outputs = [pred, d_input] + [layer._a for layer in net.layers if layer.params()]
+        outputs = [pred] + [layer._a for layer in net.layers if layer.params()]
+        outputs += [] if d_input is None else [d_input]
         assert all(a.dtype == np.float32 for a in outputs)
 
     @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
@@ -332,11 +334,16 @@ class TestFlatEngine:
         net, batch, loss = case()
         x, target = batch(np.random.default_rng(3))
         upstream = nn.loss(loss, net.forward(x), target)[1]
-        full = net.backward_from(upstream).copy()
+        # a network that starts with a convolution has no input gradient
+        input_grad = not isinstance(net.layers[0], Conv1D)
+        full = net.backward_from(upstream, input_grad=input_grad)
         assert net.grads.any()
         net.zero_grad()
-        only = net.backward_from(upstream, input_only=True)
-        assert only.tobytes() == full.tobytes()
+        only = net.backward_from(upstream, input_only=True, input_grad=input_grad)
+        if input_grad:
+            assert only.tobytes() == full.tobytes()
+        else:
+            assert only is None and full is None
         assert not net.grads.any()
         with pytest.raises(NNError, match="before backward"):
             net.step()  # an input-only pass leaves nothing to step on
@@ -400,22 +407,19 @@ def mean_loss(kind, predicted, target):
 def accumulating_backward(net, kind, predicted, target):
     """The engine's full backward before the lean pass: every layer adds a
     freshly built weight gradient into its gradient views and returns its
-    input gradient, the first layer's included. Returns (loss, d(input))."""
+    input gradient, down to a first convolution, which takes its upstream
+    gradient flattened and returns none. Returns (loss, d(input) or None)."""
     value, grad = mean_loss(kind, predicted, np.asarray(target, net.params.dtype))
     for layer in reversed(net.layers):
-        if isinstance(layer, Flatten):
-            grad = grad.reshape(layer._shape)
-            continue
-        gz = nn.activation_backward(layer.activation, layer._a, grad)
         if isinstance(layer, Dense):
+            gz = nn.activation_backward(layer.activation, layer._a, grad)
             layer.gw += layer._x.T @ gz
             grad = gz @ layer.w.T
         else:
-            grad = np.zeros_like(layer._x)
-            for j in range(layer.rows_out):
-                grad[j:j + layer.kernel_rows] += gz[j] * layer.w
+            gz = nn.activation_backward(layer.activation, layer._a, grad.reshape(layer._a.shape))
             for j in range(layer.rows_out):
                 layer.gw += gz[j] * layer._x[j:j + layer.kernel_rows]
+            grad = None
         layer.gb += gz.sum(axis=0)
     net._has_grads = True
     return value, grad
@@ -452,13 +456,15 @@ class TestLeanEngine:
         kernel_rows = data.draw(st.integers(2, rows_in))
         stack = data.draw(st.integers(1, 4))
         r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        layer = Network([Conv1D(rows_in, rows_in - kernel_rows + 1, f, "identity", r)]).layers[0]
         x = r.normal(size=(stack, rows_in, f)).astype(np.float32)
-        w = r.normal(size=(kernel_rows, f)).astype(np.float32)
-        b = r.normal(size=f).astype(np.float32)
-        z = nn.conv_rows(x, w, b)
-        assert z.dtype == np.float32
+        w = layer.w[...] = r.normal(size=(kernel_rows, f)).astype(np.float32)
+        b = layer.b[...] = r.normal(size=f).astype(np.float32)
+        z = layer.forward(x)
+        assert z.dtype == np.float32 and z.shape == (stack, 1, layer.rows_out * f)
         for s in range(stack):
             assert z[s].tobytes() == per_row_conv(x[s], w, b).tobytes()
+            assert layer.forward(x[s]).tobytes() == z[s].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["mse", "bce"])
@@ -506,10 +512,35 @@ class TestLeanEngine:
         rng = np.random.default_rng(7)
         net = Network([Conv1D(rows_in, rows_out, f, "identity", rng)])
         twin = net.clone()
-        x, target = rng.normal(size=(rows_in, f)), rng.normal(size=(rows_out, f))
-        value, gx = accumulating_backward(twin, "mse", twin.forward(x), target)
+        x, target = rng.normal(size=(rows_in, f)), rng.normal(size=(1, rows_out * f))
+        value, _ = accumulating_backward(twin, "mse", twin.forward(x), target)
         assert net.backward("mse", net.forward(x), target) == value
         assert net.grads.tobytes() == twin.grads.tobytes()
         net.zero_grad()
         upstream = nn.loss("mse", net.forward(x), target.astype(np.float32))[1]
-        assert net.backward_from(upstream).tobytes() == gx.tobytes()
+        with pytest.raises(NNError, match="layer 0: conv1d layer computes no input gradient"):
+            net.backward_from(upstream)
+        assert not net.grads.any()
+
+
+class TestStackedInputs:
+    def test_dense_rejects_a_vector(self):
+        net = dense_network([3, 2], ["relu"], seed=0)
+        with pytest.raises(NNError, match="layer 0: dense layer expects"):
+            net.forward(np.ones(3))
+
+    def test_conv_rejects_other_trailing_shapes(self):
+        net = Network([Conv1D(6, 3, 4, "identity", np.random.default_rng(0))])
+        for x in (np.ones((2, 5, 4)), np.ones((6, 3)), np.ones(4)):
+            with pytest.raises(NNError, match="layer 0: conv1d layer expects"):
+                net.forward(x)
+
+    @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
+    def test_a_stack_runs_each_input_bitwise_as_alone(self, case):
+        net, batch, _ = case()
+        r = np.random.default_rng(8)
+        xs = np.stack([batch(r)[0] for _ in range(3)])
+        stacked = net.forward(xs)
+        assert stacked.shape[0] == 3
+        for x, out in zip(xs, stacked):
+            assert net.forward(x).tobytes() == out.tobytes()

@@ -10,10 +10,12 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from convgen.model import Generator
-from convgen.nn import dense_network
+from convgen.model import ConvGeNConfig, ConvGeNModel, Generator
+from convgen.nn import Conv1D, Dense, dense_network
+from tests.conftest import two_blob_dataset
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -46,3 +48,27 @@ def test_adam_hook_counts_every_parameter(spans, build):
     spans._adam(counts, (net,), None)
     assert counts["nn.adam.param_updates"] == net.params.size > 0
     assert counts["nn.adam.bytes_computed"] == net.params.size * spans.ADAM_BYTES_PER_PARAM
+
+
+def test_fit_runs_generator_stacks_through_the_layer_hooks(monkeypatch):
+    """The D-only passes reach Conv1D.forward and Dense.forward, the methods
+    spans.py times, with (S, neb, f) and (S, 1, k'f) stacks."""
+    shapes = []
+    for cls in (Conv1D, Dense):
+        def spy(self, x, original=cls.forward):
+            shapes.append((type(self), x.shape))
+            return original(self, x)
+
+        monkeypatch.setattr(cls, "forward", spy)
+    ds = two_blob_dataset(seed=15)
+    ConvGeNModel(ConvGeNConfig(neb=5, neb_epochs=1, disc_train_count=2, k_prime=3)).fit(ds)
+    stacks = {(cls, shape) for cls, shape in shapes if len(shape) == 3}
+    assert (Conv1D, (ds.minority_count, 5, 2)) in stacks
+    assert (Dense, (ds.minority_count, 1, 3 * 2)) in stacks
+
+
+def test_dense_hook_counts_every_input_of_a_stack(spans):
+    layer = Dense(6, 4, "identity", np.random.default_rng(0))
+    counts = Counter()
+    spans._dense_fwd(counts, (layer, np.zeros((5, 1, 6))), None)
+    assert counts["nn.dense.madds"] == 5 * layer.w.size
