@@ -28,23 +28,22 @@ def interpolation_sample(minority: np.ndarray, k: int, n_synthetic: int,
     """Synthetic rows on segments between minority points and their neighbors.
 
     Each row is x + u * (x_nn - x) with u ~ U[0, 1] and x_nn one of x's k
-    nearest minority neighbors (self excluded). Returns (samples, pairs)
-    where pairs[i] = (index of x, index of x_nn) for auditability.
+    nearest minority neighbors (self excluded); x cycles through the
+    minority rows in order. All neighbor picks are drawn in one call, then
+    all u in another. Returns (samples, pairs) where pairs[i] = (index of x,
+    index of x_nn) for auditability.
     """
     if len(minority) < 2:
         raise DataError("interpolation needs at least two minority rows")
     k = min(require_int("k", k, 1), len(minority) - 1)
+    n_synthetic = require_int("n_synthetic", n_synthetic, 0)
     neighbor_lists = ranked_neighbors(minority, k + 1)[:, 1:]
 
-    samples = np.empty((n_synthetic, minority.shape[1]))
-    pairs = np.empty((n_synthetic, 2), dtype=int)
-    for i in range(n_synthetic):
-        a = i % len(minority)
-        b = int(neighbor_lists[a][rng.integers(k)])
-        u = rng.uniform()
-        samples[i] = minority[a] + u * (minority[b] - minority[a])
-        pairs[i] = (a, b)
-    return samples, pairs
+    a = np.arange(n_synthetic) % len(minority)
+    b = neighbor_lists[a, rng.integers(k, size=n_synthetic)]
+    u = rng.uniform(size=(n_synthetic, 1))
+    samples = minority[a] + u * (minority[b] - minority[a])
+    return samples, np.column_stack([a, b])
 
 
 @dataclass

@@ -44,21 +44,26 @@ class TestInterpolation:
         minority = np.random.default_rng(2).normal(size=(6, 2))
 
         class AtZero:
-            def integers(self, n):
-                return 0
+            def integers(self, high, size):
+                return np.zeros(size, dtype=int)
 
-            def uniform(self):
-                return 0.0
+            def uniform(self, size):
+                return np.zeros(size)
 
         class AtOne(AtZero):
-            def uniform(self):
-                return 1.0
+            def uniform(self, size):
+                return np.ones(size)
 
         at_zero, _ = interpolation_sample(minority, 3, 6, AtZero())
         assert np.allclose(at_zero, minority)
         at_one, pairs = interpolation_sample(minority, 3, 6, AtOne())
         for row, (_, b) in zip(at_one, pairs):
             assert np.allclose(row, minority[b])
+
+    @pytest.mark.parametrize("n", [2.0, True, -1])
+    def test_n_synthetic_must_be_a_non_negative_int(self, n):
+        with pytest.raises(DataError, match="n_synthetic"):
+            interpolation_sample(np.ones((3, 2)), 1, n, np.random.default_rng(0))
 
     def test_collinearity_oracle(self):
         minority = np.random.default_rng(3).normal(size=(10, 4))
