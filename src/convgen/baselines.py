@@ -12,8 +12,6 @@ from . import nn
 from .data import DataError, ScaleInfo, compute_alpha, require_int, scale, unscale
 from .neighborhood import ranked_neighbors
 
-LEARNING_RATE = 1e-3
-
 
 def repeater_sample(minority: np.ndarray, n_synthetic: int) -> np.ndarray:
     """Sequential cyclic copies of minority rows until n_synthetic are emitted."""
@@ -53,7 +51,7 @@ class GanConfig:
     With f features: noise size 16f; generator hidden layers 32f, 4f, 2f
     (ReLU) with a softsign output of width f; discriminator hidden layers
     40f, 20f, 10f (ReLU) with a sigmoid output. Training settings the
-    source leaves open are fixed: Adam with LEARNING_RATE, batches of
+    source leaves open are fixed: Adam at nn.ADAM_LR, batches of
     min(32, |minority|) rows, uniform(-1, 1) noise, one discriminator step
     per generator step.
     """
@@ -109,7 +107,7 @@ class Gan:
                 d_target = np.vstack([np.ones((m, 1)), np.zeros((m, 1))])
                 d_pred = self.discriminator.forward(d_in)
                 d_loss = self.discriminator.backward("bce", d_pred, d_target)
-                self.discriminator.step(LEARNING_RATE)
+                self.discriminator.step()
 
                 # generator step: make fakes look real through a frozen D
                 noise = rng.uniform(-1.0, 1.0, size=(m, self.cfg.noise_size))
@@ -117,8 +115,8 @@ class Gan:
                 g_pred = self.discriminator.forward(fake)
                 g_loss, grad = nn.loss("bce", g_pred, np.ones((m, 1)))
                 d_input_grad = self.discriminator.backward_from(grad, input_only=True)
-                self.generator.backward_from(d_input_grad, input_grad=False)
-                self.generator.step(LEARNING_RATE)
+                self.generator.backward_from(d_input_grad)
+                self.generator.step()
 
                 self.loss_history.append((d_loss, g_loss))
         return self
@@ -136,26 +134,24 @@ class Gan:
 
 
 def load_synthetic_csv(path, n_features: int) -> np.ndarray:
-    """Read pre-generated synthetic minority rows (no label column)."""
+    """Read pre-generated synthetic minority rows (no label column); a first
+    line with a non-numeric cell is a header."""
     with open(path, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
 
-    def parse(line, lineno):
-        cells = line.split(",")
-        if len(cells) != n_features:
-            raise DataError(f"{path}:{lineno}: expected {n_features} columns, got {len(cells)}")
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
         try:
-            return [float(c) for c in cells]
+            row = [float(c) for c in line.split(",")]
         except ValueError:
+            if lineno == 1:
+                continue  # the header
             raise DataError(f"{path}:{lineno}: non-numeric cell") from None
-
-    try:
-        rows = [parse(lines[0], 1)]
-    except DataError:
-        rows = []  # first line is a header
-    rows.extend(parse(line, i) for i, line in enumerate(lines[1:], start=2))
+        if len(row) != n_features:
+            raise DataError(f"{path}:{lineno}: expected {n_features} columns, got {len(row)}")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: no synthetic rows")
     return np.array(rows, dtype=np.float64)

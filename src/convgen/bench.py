@@ -17,7 +17,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -75,6 +75,9 @@ class BenchmarkConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int("n_folds", self.n_folds, 2)
+        require_int("n_shuffles", self.n_shuffles, 1)
+        require_int("seed", self.seed, float("-inf"))
         # report cells and per-fold scores are keyed by these names
         for specs in (self.datasets, self.oversamplers, self.classifiers):
             names = [spec.name for spec in specs]
@@ -117,7 +120,7 @@ class FoldResult:
 # The keys each kind reads from its spec; an unknown kind fails on its own.
 SPEC_KEYS = {
     "repeater": (), "interpolation": ("k",), "gan": ("epochs",), "from-file": ("path",),
-    "convgen": ("preset", "neb", "disc_train_count", "neb_epochs", "maj_proximal", "k_prime"),
+    "convgen": ("preset", *(f.name for f in fields(ConvGeNConfig) if f.name != "seed")),
     "knn": ("k",), "logreg": (), "doc": (), "external": ("dir",),
 }
 
@@ -189,8 +192,7 @@ def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
     raise DataError(f"unknown oversampler kind {spec.kind!r}")
 
 
-def make_classifier(spec: Spec, fold_result: FoldResult,
-                    external_path: str | None = None):
+def make_classifier(spec: Spec, fold_result: FoldResult, fold_name: str):
     _check_keys(spec)
     if spec.kind == "knn":
         return KNNClassifier(k=_positive_int(spec, "k", 5))
@@ -201,9 +203,9 @@ def make_classifier(spec: Spec, fold_result: FoldResult,
             raise DataError("the doc classifier requires the convgen oversampler")
         return DiscriminatorClassifier(fold_result.model)
     if spec.kind == "external":
-        if external_path is None:
+        if "dir" not in spec.params:
             raise DataError("external classifier needs a predictions directory")
-        return ExternalPredictions(external_path)
+        return ExternalPredictions(os.path.join(spec.params["dir"], f"{fold_name}.csv"))
     raise DataError(f"unknown classifier kind {spec.kind!r}")
 
 
@@ -239,13 +241,7 @@ def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
     for clf_spec in cfg.classifiers:
         started = time.perf_counter()
         try:
-            external_path = None
-            if clf_spec.kind == "external" and "dir" in clf_spec.params:
-                external_path = os.path.join(
-                    clf_spec.params["dir"],
-                    f"{dataset.name}_s{shuffle}_f{fold}.csv",
-                )
-            clf = make_classifier(clf_spec, result, external_path)
+            clf = make_classifier(clf_spec, result, f"{dataset.name}_s{shuffle}_f{fold}")
             clf.fit(full_features, full_labels)
             cm = confusion(test_labels, clf.predict(test_features))
             scores[clf_spec.name] = {

@@ -61,31 +61,30 @@ class LogisticRegressionClassifier:
     """L2-regularized logistic regression solved by damped Newton.
 
     Minimises the mean cross-entropy -mean(y*log(p+eps) + (1-y)*log(1-p+eps)),
-    eps = 1e-12, plus 0.5 * l2 * ||w||^2 (the bias is not regularized) over
-    the f + 1 unknowns (w, b), starting from zero. Each iteration appends the
-    loss at the current point to `loss_trace` and stops once the largest
-    absolute entry of the exact gradient is at most `tol`. Otherwise it takes
-    the Newton step of the eps-free Hessian, A^T diag(p(1-p)) A / n plus l2
-    on the weights (A is the features with a column of ones, each column
-    scaled to a largest |entry| of 1 while solving), and halves it
-    until the Armijo condition holds; if 2**-MAX_HALVINGS of the step still
-    fails it, the fit stops at the current point. So the trace never
-    increases. The Hessian's eigenvalues are floored at HESSIAN_FLOOR: when
-    every prediction saturates, p(1-p) is 0 and the bias row vanishes, and
-    with fewer rows than unknowns at wide feature scales rounding leaves the
-    matrix singular; the step stays finite in both. Fixed, reproducible
-    settings: at most 50 iterations, L2 = 1e-4, tol = 1e-10.
+    eps = EPS, plus 0.5 * L2 * ||w||^2 (the bias is not regularized) over
+    the f + 1 unknowns (w, b), starting from zero. Each of at most ITERATIONS
+    iterations appends the loss at the current point to `loss_trace` and stops
+    once the largest absolute entry of the exact gradient is at most TOL.
+    Otherwise it takes the Newton step of the eps-free Hessian,
+    A^T diag(p(1-p)) A / n plus L2 on the weights (A is the features with a
+    column of ones, each column scaled to a largest |entry| of 1 while
+    solving), and halves it until the Armijo condition holds; if
+    2**-MAX_HALVINGS of the step still fails it, the fit stops at the current
+    point. So the trace never increases. The Hessian's eigenvalues are floored
+    at HESSIAN_FLOOR: when every prediction saturates, p(1-p) is 0 and the
+    bias row vanishes, and with fewer rows than unknowns at wide feature
+    scales rounding leaves the matrix singular; the step stays finite in both.
     """
 
+    ITERATIONS = 50
+    L2 = 1e-4
+    TOL = 1e-10
     EPS = 1e-12
     ARMIJO = 1e-4
     MAX_HALVINGS = 40
     HESSIAN_FLOOR = 1e-12
 
-    def __init__(self, iterations: int = 50, l2: float = 1e-4, tol: float = 1e-10) -> None:
-        self.iterations = iterations
-        self.l2 = l2
-        self.tol = tol
+    def __init__(self) -> None:
         self.weights = None
         self.bias = 0.0
         self.loss_trace: list[float] = []
@@ -117,7 +116,7 @@ class LogisticRegressionClassifier:
         scale = np.abs(design).max(axis=0)
         scale[scale == 0.0] = 1.0
         design /= scale
-        reg = np.append(np.full(f, float(self.l2)), 0.0) / scale / scale
+        reg = np.append(np.full(f, self.L2), 0.0) / scale / scale
         # (1-y) + (2y-1)*p is p where y = 1 and 1-p where y = 0: the
         # probability given to the true label, one log per row.
         offset, flip = 1.0 - y, 2.0 * y - 1.0
@@ -132,12 +131,12 @@ class LogisticRegressionClassifier:
         self.loss_trace = []
         with np.errstate(over="ignore"):
             loss, p, q = evaluate(theta)
-            for _ in range(self.iterations):
+            for _ in range(self.ITERATIONS):
                 self.loss_trace.append(loss)
                 curvature = p * (1.0 - p)
                 # d/dz of -log(q) is -(2y-1) * p(1-p) / q, eps included
                 grad = design.T @ (-flip * curvature / q) / n + reg * theta
-                if np.max(np.abs(grad * scale)) <= self.tol:
+                if np.max(np.abs(grad * scale)) <= self.TOL:
                     break
                 hessian = design.T @ (design * curvature[:, None]) / n + np.diag(reg)
                 values, vectors = np.linalg.eigh(hessian)
@@ -205,12 +204,12 @@ class ExternalPredictions:
 
     def predict(self, features) -> np.ndarray:
         with open(self.path, encoding="utf-8") as fh:
-            labels = [int(line.strip()) for line in fh if line.strip()]
+            labels = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
+        for lineno, label in labels:
+            if label not in ("0", "1"):
+                raise DataError(f"{self.path}:{lineno}: label {label!r} is not 0/1")
         if len(labels) != len(features):
             raise DataError(
                 f"{self.path}: {len(labels)} labels for {len(features)} test rows"
             )
-        arr = np.asarray(labels, dtype=int)
-        if not np.isin(arr, (0, 1)).all():
-            raise DataError(f"{self.path}: labels must be 0/1")
-        return arr
+        return np.array([int(label) for _, label in labels], dtype=int)

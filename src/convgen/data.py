@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,10 +125,7 @@ def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Da
 class FoldPlan:
     """Stratified fold assignments: assignments[shuffle][sample] = fold id."""
 
-    n_folds: int
-    n_shuffles: int
-    seed: int
-    assignments: np.ndarray = field(repr=False)  # (n_shuffles, n_samples) int
+    assignments: np.ndarray  # (n_shuffles, n_samples) int
 
     def test_indices(self, shuffle: int, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments[shuffle] == fold)
@@ -163,8 +160,7 @@ def stratified_kfold(dataset: Dataset, n_folds: int, n_shuffles: int, seed: int)
                 for i in order[pos:pos + size]:
                     assignments[s, i] = fold
                 pos += size
-    return FoldPlan(n_folds=n_folds, n_shuffles=n_shuffles, seed=seed,
-                    assignments=assignments)
+    return FoldPlan(assignments)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ SIMPLEX_TOL = 1e-5
 # Elements in the largest array of one Generator.forward_stack call, so a
 # pass over big neighborhoods (neb="min") runs in several stacks.
 STACK_ELEMENTS = 1 << 20
-LEARNING_RATE = 1e-3
 DISC_HIDDEN = (250, 125, 75)
 # DoC: the discriminator copy retrained as a classifier, in shuffled minibatches
 DOC_EPOCHS = 10
@@ -111,14 +110,14 @@ class SyntheticBatch:
         return float(np.max(np.abs(rebuilt - self.samples))) if self.samples.size else 0.0
 
 
-def check_simplex(k: np.ndarray, tol: float = SIMPLEX_TOL) -> None:
+def check_simplex(k: np.ndarray) -> None:
     """Raise unless every column of K, or of each K in a (..., neb, neb)
-    stack, is nonnegative and sums to 1 within tol; NaN fails."""
+    stack, is nonnegative and sums to 1 within SIMPLEX_TOL; NaN fails."""
     if np.any(k < 0.0):
         raise TrainingError(f"negative coefficient {k.min():.3e} in K")
     sums = k.sum(axis=-2)
     off = np.abs(sums - 1.0)
-    if not np.all(off <= tol):
+    if not np.all(off <= SIMPLEX_TOL):
         worst = sums.flat[np.argmax(off)]
         raise TrainingError(f"coefficient column sums to {worst!r}, outside tolerance")
 
@@ -193,10 +192,10 @@ class Generator:
         with np.errstate(divide="ignore", invalid="ignore"):
             dr = np.where(sums > 0.0, (dk - inner) / np.where(sums > 0.0, sums, 1.0), 0.0)
         dlogits = dr * (self._logits > 0.0)
-        self.net.backward_from(dlogits.reshape(1, -1), input_grad=False)
+        self.net.backward_from(dlogits.reshape(1, -1))
 
-    def step(self, lr: float = LEARNING_RATE) -> None:
-        self.net.step(lr)
+    def step(self) -> None:
+        self.net.step()
 
 
 def _build_discriminator(n_features: int, seed: int) -> nn.Network:
@@ -284,7 +283,7 @@ class ConvGeNModel:
         synthetic rows first; returns the loss."""
         pred = self.discriminator.forward(concat)
         loss = self.discriminator.backward("bce", pred, self._labels)
-        self.discriminator.step(LEARNING_RATE)
+        self.discriminator.step()
         return loss
 
     def _discriminator_pass(self) -> list[float]:
@@ -319,7 +318,7 @@ class ConvGeNModel:
             dc = self.discriminator.backward_from(grad, input_only=True)[: self._neb]
             # G's forward cache still holds min_rows: D's step does not touch G
             self.generator.backward_from_dk(min_rows @ dc.T)
-            self.generator.step(LEARNING_RATE)
+            self.generator.step()
             losses.append(loss)
         return losses
 
@@ -398,7 +397,7 @@ class ConvGeNModel:
                 sel = order[start:start + DOC_BATCH_SIZE]
                 pred = doc.forward(features[sel])
                 doc.backward("bce", pred, targets[sel])
-                doc.step(LEARNING_RATE)
+                doc.step()
         return doc
 
     # -- checkpointing ---------------------------------------------------

@@ -61,8 +61,8 @@ def ranked_neighbors(queries: np.ndarray, k: int, pool: np.ndarray | None = None
 
     Each block of queries is screened with one matrix product (see the
     module docstring): a pool row is a candidate when its screened value
-    is at most A_k + 2δ. Every pool row is a candidate when k >= n_pool,
-    or when a norm is NaN, inf or too large for the bound to hold. Only
+    is at most A_w + 2δ, A_w the min(k, n_pool)-th smallest. Every pool row
+    is a candidate when a norm is NaN, inf or too large for the bound. Only
     candidates get their exact distance, computed as the per-row brute
     force computes it, so the indices are bitwise those of a full stable
     sort of every distance.
@@ -79,25 +79,24 @@ def ranked_neighbors(queries: np.ndarray, k: int, pool: np.ndarray | None = None
         query_sq = np.einsum("ij,ij->i", queries, queries)
         pool_sq = np.einsum("ij,ij->i", pool, pool)
         pool_sq_max = pool_sq.max(initial=0.0)
-    block = max(1, BLOCK_PAIRS // max(n_pool, 1))
+    if n_pool == 0:
+        return out
+    block = max(1, BLOCK_PAIRS // n_pool)
     for start in range(0, len(queries), block):
         q, q_sq = queries[start:start + block], query_sq[start:start + block]
-        if width < n_pool:
-            with np.errstate(over="ignore", invalid="ignore"):
-                approx = (-2.0 * q) @ pool.T
-                approx += q_sq[:, None]
-                approx += pool_sq
-                if self_query:
-                    approx[np.arange(len(q)), start + np.arange(len(q))] = -np.inf
-                scale = q_sq + pool_sq_max
-                delta = ((4 * f + 16) * (_FLOAT.eps / 2) * scale
-                         + 4 * f * _FLOAT.smallest_subnormal)
-                limit = np.partition(approx, k - 1, axis=1)[:, k - 1] + 2 * delta
-            # NaN, inf or overflowing norms: the bound does not hold, keep every row
-            unbounded = ~(scale <= _SCALE_MAX)
-            keep = (approx <= limit[:, None]) | unbounded[:, None]
-        else:
-            keep = np.ones((len(q), n_pool), dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = (-2.0 * q) @ pool.T
+            approx += q_sq[:, None]
+            approx += pool_sq
+            if self_query:
+                approx[np.arange(len(q)), start + np.arange(len(q))] = -np.inf
+            scale = q_sq + pool_sq_max
+            delta = ((4 * f + 16) * (_FLOAT.eps / 2) * scale
+                     + 4 * f * _FLOAT.smallest_subnormal)
+            limit = np.partition(approx, width - 1, axis=1)[:, width - 1] + 2 * delta
+        # NaN, inf or overflowing norms: the bound does not hold, keep every row
+        unbounded = ~(scale <= _SCALE_MAX)
+        keep = (approx <= limit[:, None]) | unbounded[:, None]
         rows, cols = np.divmod(np.flatnonzero(keep), n_pool)
         d2 = ((pool[cols] - q[rows]) ** 2).sum(axis=1)
         if self_query:

@@ -10,11 +10,11 @@ runs in one dtype from the input to the loss. Forward passes cache
 activations on the layer objects. The one full backward pass between two
 Adam steps writes the gradient views (it does not add to them), and the
 Adam step updates the whole parameter vector at once and zeroes the
-gradients. The gradient with respect to the network's input is computed
-only when the caller reads it (a generator update reads it from the
-frozen discriminator); a loss-path backward stops at the first layer's
-weight gradients. A convolution computes no input gradient, so a network
-trains it only as its first layer.
+gradients. A training backward pass writes the weight gradients and stops
+at the first layer's; a frozen pass writes none and returns the gradient
+with respect to the network's input (a generator update reads it from the
+frozen discriminator). A convolution computes no input gradient, so a
+network trains it only as its first layer.
 
 Both layers' forward passes take leading stack axes: a (S, ..., n) input
 runs S inputs at once, each bitwise as it runs alone, for a network that
@@ -22,8 +22,8 @@ only predicts (ConvGeN's frozen generator); a backward follows a forward
 of one unstacked input. Conv1D emits its output already flattened to one
 row, the shape a following Dense layer takes.
 
-Defaults the source material leaves open: Adam (beta1=0.9, beta2=0.999,
-eps=1e-8, lr=1e-3) with the bias correction folded into the step size,
+Settings the source material leaves open: Adam (lr=1e-3, beta1=0.9,
+beta2=0.999, eps=1e-8) with the bias correction folded into the step size,
 Glorot-uniform init, BCE probabilities clamped to [1e-7, 1 - 1e-7].
 """
 
@@ -36,6 +36,7 @@ import numpy as np
 
 DTYPE = np.float32
 BCE_EPS = 1e-7
+ADAM_LR = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -119,8 +120,8 @@ class Dense:
         self._a = activate(self.activation, z)
         return self._a
 
-    def backward(self, grad_out: np.ndarray, input_only: bool = False,
-                 input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, grad_out: np.ndarray, input_only: bool,
+                 input_grad: bool) -> np.ndarray | None:
         """dL/d(input), or None without input_grad; also writes the weight
         gradients unless input_only."""
         if self._x is None:
@@ -173,20 +174,18 @@ class Conv1D:
         self._a = activate(self.activation, z)
         return self._a.reshape(*x.shape[:-2], 1, -1)
 
-    def backward(self, grad_out: np.ndarray, input_only: bool = False,
-                 input_grad: bool = True) -> None:
-        """Writes the weight gradients unless input_only; the input gradient
-        is never computed, so asking for it is an error."""
+    def backward(self, grad_out: np.ndarray, input_only: bool, input_grad: bool) -> None:
+        """Writes the weight gradients; the input gradient is never computed,
+        so asking for it is an error (a frozen pass always asks)."""
         if self._x is None:
             raise NNError("backward before forward on conv1d layer")
         if input_grad:
             raise NNError("conv1d layer computes no input gradient")
-        if not input_only:
-            gz = activation_backward(self.activation, self._a, grad_out.reshape(self._a.shape))
-            # sum over output rows j, in order, of gz[j] * x[j:j + kernel_rows]
-            windows = row_windows(self._x, self.kernel_rows)
-            np.add.reduce(windows * gz[:, None, :], axis=0, out=self.gw)
-            np.add.reduce(gz, axis=0, out=self.gb)
+        gz = activation_backward(self.activation, self._a, grad_out.reshape(self._a.shape))
+        # sum over output rows j, in order, of gz[j] * x[j:j + kernel_rows]
+        windows = row_windows(self._x, self.kernel_rows)
+        np.add.reduce(windows * gz[:, None, :], axis=0, out=self.gw)
+        np.add.reduce(gz, axis=0, out=self.gb)
 
     def params(self):
         return [("w", self.w, self.gw), ("b", self.b, self.gb)]
@@ -247,23 +246,22 @@ class Network:
         value, grad = loss(kind, predicted, target)
         if not np.isfinite(value):
             raise NNError(f"non-finite {kind} loss")
-        self.backward_from(grad, input_grad=False)
+        self.backward_from(grad)
         return value
 
-    def backward_from(self, grad_out: np.ndarray, input_only: bool = False,
-                      input_grad: bool = True) -> np.ndarray | None:
-        """Backpropagate an upstream gradient; returns dL/d(input) or None.
+    def backward_from(self, grad_out: np.ndarray, input_only: bool = False) -> np.ndarray | None:
+        """Backpropagate an upstream gradient.
 
-        The weight gradients are written, not added, so one full pass goes
-        between two steps. With input_only they are neither computed nor
-        written, so a frozen network needs no zero_grad afterwards. Without
-        input_grad the first layer computes no input gradient and None is
-        returned.
+        A training pass writes the weight gradients, not adds them, so one
+        full pass goes between two steps; its first layer computes no input
+        gradient and None is returned. With input_only the weight gradients
+        are neither computed nor written, so a frozen network needs no
+        zero_grad afterwards, and dL/d(input) is returned.
         """
         grad_out = np.asarray(grad_out, dtype=self.params.dtype)
         for i in reversed(range(len(self.layers))):
             try:
-                grad_out = self.layers[i].backward(grad_out, input_only, input_grad or i > 0)
+                grad_out = self.layers[i].backward(grad_out, input_only, input_only or i > 0)
             except NNError as exc:
                 raise NNError(f"layer {i}: {exc}") from None
         self._has_grads = self._has_grads or not input_only
@@ -273,12 +271,12 @@ class Network:
         self.grads[...] = 0.0
         self._has_grads = False
 
-    def step(self, lr: float = 1e-3) -> None:
+    def step(self) -> None:
         """One Adam update from the accumulated gradients; zeroes them after.
 
         The bias correction is folded into the step size and epsilon (Kingma
         & Ba, Adam, section 2): p -= lr_t * m / (sqrt(v) + eps_t) with
-        lr_t = lr * sqrt(1 - beta2^t) / (1 - beta1^t) and
+        lr_t = ADAM_LR * sqrt(1 - beta2^t) / (1 - beta1^t) and
         eps_t = eps * sqrt(1 - beta2^t), computed in place in that operand
         order with the spent gradient vector as the second scratch buffer.
         Every ADAM_FLUSH_EVERY steps, first moments below the dtype's smallest
@@ -289,7 +287,7 @@ class Network:
         self._adam_t += 1
         t = self._adam_t
         root = math.sqrt(1.0 - ADAM_BETA2 ** t)
-        lr_t = lr * root / (1.0 - ADAM_BETA1 ** t)
+        lr_t = ADAM_LR * root / (1.0 - ADAM_BETA1 ** t)
         g, m, v, s = self.grads, self._adam_m, self._adam_v, np.empty_like(self.grads)
         if t % ADAM_FLUSH_EVERY == 0:
             # A dead ReLU unit gets exactly zero gradient, so its m decays by

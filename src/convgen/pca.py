@@ -25,10 +25,16 @@ class Projection:
 
 
 def pca_project(real: np.ndarray, synthetic: np.ndarray) -> Projection:
-    """Project real and synthetic rows onto the real data's top-2 axes."""
+    """Project real (n, f) and synthetic (m, f) rows, or no synthetic rows
+    when `synthetic` is empty, onto the real data's top-2 axes."""
     real = np.asarray(real, dtype=np.float64)
-    synthetic = np.asarray(synthetic, dtype=np.float64).reshape(-1, real.shape[1]) \
-        if np.asarray(synthetic).size else np.empty((0, real.shape[1]))
+    synthetic = np.asarray(synthetic, dtype=np.float64)
+    if real.ndim != 2:
+        raise DataError(f"real rows must be 2-D, got shape {real.shape}")
+    if not synthetic.size:
+        synthetic = np.empty((0, real.shape[1]))
+    if synthetic.ndim != 2 or synthetic.shape[1] != real.shape[1]:
+        raise DataError(f"synthetic rows must be (m, {real.shape[1]}), got shape {synthetic.shape}")
     if real.shape[1] < 2:
         raise DataError("PCA needs at least 2 features")
     if len(real) + len(synthetic) < 2:

@@ -164,6 +164,12 @@ class TestSyntheticCsv:
         headed.write_text("a,b\n1.0,2.0\n", encoding="utf-8")
         assert load_synthetic_csv(headed, 2).shape == (1, 2)
 
+    def test_numeric_first_line_is_data_not_a_header(self, tmp_path):
+        short = tmp_path / "short.csv"
+        short.write_text("1,2,3\n4,5,6,7\n8,9,10,11\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"short\.csv:1: expected 4 columns, got 3"):
+            load_synthetic_csv(short, 4)
+
     def test_wrong_width_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,2.0,3.0\n", encoding="utf-8")

@@ -116,6 +116,23 @@ class TestConfig:
         assert BenchmarkConfig.from_json(cfg_path).seed == 3
         # an explicit override wins over the config
         assert BenchmarkConfig.from_json(cfg_path, seed_override=7).seed == 7
+        assert BenchmarkConfig.from_json(cfg_path, seed_override=-7).seed == -7
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_folds", 1), ("n_folds", 0), ("n_folds", 2.5), ("n_folds", True),
+        ("n_shuffles", 0), ("n_shuffles", -1), ("n_shuffles", 1.0), ("n_shuffles", "2"),
+        ("seed", 1.5), ("seed", True), ("seed", None),
+    ])
+    def test_bad_grid_settings_rejected_on_load(self, tmp_path, toy_csv, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "datasets": [{"path": toy_csv, "label_column": "cls", "minority_label": "pos"}],
+            "oversamplers": ["repeater"],
+            "classifiers": ["knn"],
+            key: value,
+        }))
+        with pytest.raises(DataError, match=f"{key} must be an integer >= "):
+            BenchmarkConfig.from_json(cfg_path)
 
 
 class TestOversampleFold:
@@ -263,7 +280,8 @@ class TestDegenerateData:
 
 class TestMakeClassifier:
     def test_allowed_key_is_used(self):
-        clf = make_classifier(ClassifierSpec("knn3", "knn", {"k": 3}), FoldResult(None, None))
+        clf = make_classifier(ClassifierSpec("knn3", "knn", {"k": 3}), FoldResult(None, None),
+                              "toy_s0_f0")
         assert clf.k == 3
 
     @pytest.mark.parametrize("kind,params,keys", [
@@ -275,18 +293,19 @@ class TestMakeClassifier:
     def test_unknown_key_rejected(self, kind, params, keys):
         fold_result = FoldResult(None, None, model=object())
         with pytest.raises(DataError, match="unknown key") as info:
-            make_classifier(ClassifierSpec("c", kind, params), fold_result, "preds/f.csv")
+            make_classifier(ClassifierSpec("c", kind, params), fold_result, "toy_s0_f0")
         assert str(keys) in str(info.value)
 
 
     @pytest.mark.parametrize("value", ["5", 2.7, 0, -3, True])
     def test_knn_k_must_be_positive_int(self, value):
         with pytest.raises(DataError, match=f"k must be an integer >= 1, got {value!r}"):
-            make_classifier(ClassifierSpec("knn", "knn", {"k": value}), FoldResult(None, None))
+            make_classifier(ClassifierSpec("knn", "knn", {"k": value}), FoldResult(None, None),
+                            "toy_s0_f0")
 
     def test_numpy_integer_k_accepted(self):
         spec = ClassifierSpec("knn", "knn", {"k": np.int64(3)})
-        assert make_classifier(spec, FoldResult(None, None)).k == 3
+        assert make_classifier(spec, FoldResult(None, None), "toy_s0_f0").k == 3
 
 
 class TestRunFold:

@@ -126,9 +126,10 @@ class TestLogisticRegression:
         clf = LogisticRegressionClassifier().fit(ds.features, ds.labels)
         assert np.array_equal(clf.predict(ds.features), ds.labels)
 
-    def test_zero_iterations_is_deterministic_tie_break(self):
+    def test_zero_iterations_is_deterministic_tie_break(self, monkeypatch):
+        monkeypatch.setattr(LogisticRegressionClassifier, "ITERATIONS", 0)
         ds = two_blob_dataset(seed=32)
-        clf = LogisticRegressionClassifier(iterations=0).fit(ds.features, ds.labels)
+        clf = LogisticRegressionClassifier().fit(ds.features, ds.labels)
         pred = clf.predict(ds.features)
         assert pred.shape == (ds.n_samples,)
         # zero weights put every point on the boundary; tie-break is class 0
@@ -200,8 +201,8 @@ class TestLogisticRegression:
         x, y = repeater_fold(path)
         clf = LogisticRegressionClassifier().fit(x, y)
         loss, grad = logreg_objective(np.append(clf.weights, clf.bias), x, y)
-        assert np.max(np.abs(grad)) <= clf.tol
-        assert len(clf.loss_trace) < clf.iterations
+        assert np.max(np.abs(grad)) <= clf.TOL
+        assert len(clf.loss_trace) < clf.ITERATIONS
         assert clf.loss_trace[-1] == pytest.approx(loss, abs=1e-15)
 
     @pytest.mark.parametrize("path", REPEATER_FOLDS)
@@ -223,7 +224,7 @@ class TestLogisticRegression:
             pred = clf.predict(x)
         assert np.all(np.isfinite(clf.weights)) and np.isfinite(clf.bias)
         assert set(pred) <= {0, 1}
-        assert 1 <= len(clf.loss_trace) <= clf.iterations
+        assert 1 <= len(clf.loss_trace) <= clf.ITERATIONS
         assert np.all(np.diff(clf.loss_trace) <= 0.0)
         # no worse than the oracle's minimum; on separable draws the loss at
         # the optimum is below 1e-8 and so flat that the fit may stop at its
@@ -287,9 +288,10 @@ def test_malformed_training_set_rejected(toy_model, make, case):
 
 @pytest.mark.parametrize("features", [np.zeros(2), np.zeros((1, 2, 1)), np.zeros((1, 3))],
                          ids=["1-D", "3-D", "wider"])
-def test_logreg_predict_rejects_other_shapes(features):
+def test_logreg_predict_rejects_other_shapes(features, monkeypatch):
+    monkeypatch.setattr(LogisticRegressionClassifier, "ITERATIONS", 5)
     ds = two_blob_dataset(seed=36)
-    clf = LogisticRegressionClassifier(iterations=5).fit(ds.features, ds.labels)
+    clf = LogisticRegressionClassifier().fit(ds.features, ds.labels)
     with pytest.raises(DataError, match=r"features must be \(rows, 2\)"):
         clf.predict(features)
 
@@ -306,6 +308,12 @@ class TestExternalPredictions:
         path.write_text("1\n0\n", encoding="utf-8")
         with pytest.raises(DataError, match="labels for"):
             ExternalPredictions(str(path)).predict(np.zeros((3, 2)))
+
+    def test_non_integer_label_names_its_line(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("1\n\n1.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"preds\.csv:3: label '1\.0' is not 0/1"):
+            ExternalPredictions(str(path)).predict(np.zeros((2, 2)))
 
     def test_non_binary_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"

@@ -285,9 +285,9 @@ class TestTraining:
         calls = []
         original = model_mod.check_simplex
 
-        def spy(k, tol=model_mod.SIMPLEX_TOL):
+        def spy(k):
             calls.append(k.shape)
-            return original(k, tol)
+            return original(k)
 
         monkeypatch.setattr(model_mod, "check_simplex", spy)
         fitted_toy_model(epochs=2)

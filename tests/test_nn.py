@@ -176,10 +176,12 @@ class TestOptimizer:
         net = single_dense(1, 1, "identity", weights=[[0.0]], bias=[0.0])
         target = np.array([[3.0]])
         x = np.array([[0.0]])
-        for _ in range(2000):
+        # Adam moves b by at most about ADAM_LR per step; it is within 1e-2 of 3
+        # after ~5800 steps
+        for _ in range(8000):
             pred = net.forward(x)
             net.backward("mse", pred, target)
-            net.step(lr=0.01)
+            net.step()
         assert abs(net.layers[0].b[0] - 3.0) < 1e-2
 
 
@@ -281,16 +283,16 @@ def adam_pairs(net, batch, loss, reference, steps=25, backward=None):
     for t in range(1, steps + 1):
         x, target = batch(r)
         backward(loss, net.forward(x), target)
-        reference(ref, [g.copy() for _, g in slots], m, v, t, lr=1e-2)
-        net.step(lr=1e-2)
+        reference(ref, [g.copy() for _, g in slots], m, v, t, lr=nn.ADAM_LR)
+        net.step()
         assert not net.grads.any()
         yield net.params, np.concatenate([p.ravel() for p in ref])
 
 
-def train_step(net, batch, loss, r, lr=1e-2):
+def train_step(net, batch, loss, r):
     x, t = batch(r)
     net.backward(loss, net.forward(x), t)
-    net.step(lr)
+    net.step()
 
 
 class TestFlatEngine:
@@ -317,8 +319,8 @@ class TestFlatEngine:
         pred = net.forward(x)
         net.backward(loss, pred, target)
         # a network that starts with a convolution has no input gradient
-        d_input = net.backward_from(nn.loss(loss, pred, target)[1],
-                                    input_grad=not isinstance(net.layers[0], Conv1D))
+        d_input = None if isinstance(net.layers[0], Conv1D) else net.backward_from(
+            nn.loss(loss, pred, target)[1], input_only=True)
         net.step()
         for owner in (net, net.clone()):
             layers = [layer for layer in owner.layers if layer.params()]
@@ -329,21 +331,22 @@ class TestFlatEngine:
         outputs += [] if d_input is None else [d_input]
         assert all(a.dtype == np.float32 for a in outputs)
 
-    @pytest.mark.parametrize("case", [conv_dense_case, dense_case])
-    def test_input_only_backward_matches_the_full_pass(self, case):
-        net, batch, loss = case()
+    def test_input_only_backward_matches_central_differences(self):
+        net, batch, loss = dense_case()
+        net = Network(copy.deepcopy(net.layers), np.float64)
         x, target = batch(np.random.default_rng(3))
         upstream = nn.loss(loss, net.forward(x), target)[1]
-        # a network that starts with a convolution has no input gradient
-        input_grad = not isinstance(net.layers[0], Conv1D)
-        full = net.backward_from(upstream, input_grad=input_grad)
-        assert net.grads.any()
-        net.zero_grad()
-        only = net.backward_from(upstream, input_only=True, input_grad=input_grad)
-        if input_grad:
-            assert only.tobytes() == full.tobytes()
-        else:
-            assert only is None and full is None
+        d_input = net.backward_from(upstream, input_only=True)
+        numeric = np.empty_like(x)
+        eps = 1e-6
+        for idx in np.ndindex(x.shape):
+            up, down = x.copy(), x.copy()
+            up[idx] += eps
+            down[idx] -= eps
+            numeric[idx] = (nn.loss(loss, net.forward(up), target)[0]
+                            - nn.loss(loss, net.forward(down), target)[0]) / (2 * eps)
+        assert d_input.dtype == np.float64
+        np.testing.assert_allclose(d_input, numeric, rtol=1e-5, atol=1e-9)
         assert not net.grads.any()
         with pytest.raises(NNError, match="before backward"):
             net.step()  # an input-only pass leaves nothing to step on
@@ -519,7 +522,7 @@ class TestLeanEngine:
         net.zero_grad()
         upstream = nn.loss("mse", net.forward(x), target.astype(np.float32))[1]
         with pytest.raises(NNError, match="layer 0: conv1d layer computes no input gradient"):
-            net.backward_from(upstream)
+            net.backward_from(upstream, input_only=True)
         assert not net.grads.any()
 
 

@@ -60,3 +60,19 @@ class TestProjection:
     def test_needs_two_features(self):
         with pytest.raises(DataError, match="features"):
             pca_project(np.ones((10, 1)), np.empty((0, 1)))
+
+    @pytest.mark.parametrize("real,synthetic", [
+        (np.ones(4), np.empty((0, 4))),
+        (np.ones((3, 4, 1)), np.empty((0, 4))),
+        (np.arange(12.0).reshape(3, 4), np.ones((2, 2))),
+        (np.arange(12.0).reshape(3, 4), np.ones(4)),
+        (np.arange(12.0).reshape(3, 4), np.ones((1, 1, 4))),
+    ], ids=["1-D real", "3-D real", "2x2 synthetic", "1-D synthetic", "3-D synthetic"])
+    def test_malformed_shapes_rejected(self, real, synthetic):
+        with pytest.raises(DataError, match="must be"):
+            pca_project(real, synthetic)
+
+    def test_empty_synthetic_of_any_shape_is_accepted(self):
+        data = np.random.default_rng(65).normal(size=(10, 3))
+        for empty in ([], np.empty((0, 3)), np.empty((0,))):
+            assert pca_project(data, empty).synthetic.shape == (0, 2)
