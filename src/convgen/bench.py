@@ -13,10 +13,11 @@ runs).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -275,12 +276,44 @@ def _run_unit(args):
     return dataset.name, oversampler.name, shuffle, out, time.perf_counter() - started
 
 
+# A worker's BLAS gets one thread: jobs workers that each start a BLAS
+# thread per core oversubscribe the cores (measured on a 2-core box, `bench
+# run` on configs/benchmark.json took 271 s with two such workers, 61 s with
+# one BLAS thread each, 96 s serially).
+_WORKER_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}
+
+
+@contextmanager
+def _worker_pool(jobs: int):
+    """A pool of `jobs` spawned worker processes whose BLAS runs one thread.
+
+    BLAS reads its thread count when numpy is imported, and a forked worker
+    keeps the parent's, so the workers are spawned with the settings in
+    their environment; the parent's environment is restored afterwards.
+    """
+    saved = {var: os.environ.get(var) for var in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        with ProcessPoolExecutor(max_workers=jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1,
                   progress=None) -> tuple[dict, dict]:
     """Run the full grid; returns (report, timings).
 
     The report is deterministic under cfg.seed; timings are wall-clock
-    seconds and vary run to run.
+    seconds and vary run to run. jobs > 1 runs the (dataset, oversampler,
+    shuffle) units in that many worker processes (see _worker_pool), with
+    the same report bytes as a serial run.
     """
     datasets = {spec.name: spec.load() for spec in cfg.datasets}
     plans = {
@@ -311,7 +344,7 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1,
     folds = {(d.name, o.name, c.name): [] for d in cfg.datasets
              for o in cfg.oversamplers for c in cfg.classifiers}
     unit_seconds = {}
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+    with _worker_pool(jobs) if jobs > 1 else nullcontext() as pool:
         for res in (pool.map if pool else map)(_run_unit, units):
             ds_name, ovs_name, shuffle, fold_list, seconds = res
             unit_seconds[f"{ds_name}/{ovs_name}/s{shuffle}"] = seconds

@@ -5,7 +5,8 @@ predictions.
 All classifiers expose fit(features, labels) / predict(features) with
 labels in {0, 1}, 1 = minority; kNN, logistic regression and DoC raise
 DataError unless the training features are 2-D, with one 1-D label per
-row, and the labels are exactly 0 and 1, both present.
+row, and the labels are exactly 0 and 1, both present; their predict
+raises DataError unless the features are 2-D with the fitted width.
 DoC trains in fit like the others: it retrains a copy of a fitted ConvGeN
 model's discriminator on the rows it is given. Predictions are
 deterministic; kNN breaks even-vote ties toward the majority class
@@ -28,10 +29,18 @@ def _training_set(features, labels) -> tuple[np.ndarray, np.ndarray]:
         raise DataError(
             f"training needs 2-D features and one label per row; got shapes {x.shape}, {y.shape}"
         )
-    present = np.unique(y)
-    if not np.array_equal(present, (0, 1)):
-        raise DataError(f"training labels must be 0 and 1, both present; got {present[:5]}")
+    ones, zeros = np.count_nonzero(y == 1), np.count_nonzero(y == 0)
+    if not (ones and zeros and ones + zeros == len(y)):
+        raise DataError(f"training labels must be 0 and 1, both present; got {np.unique(y)[:5]}")
     return x, y
+
+
+def _test_set(features, width: int) -> np.ndarray:
+    """float64 features of a prediction: 2-D, `width` columns as fitted."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise DataError(f"features must be (rows, {width}), got shape {x.shape}")
+    return x
 
 
 class KNNClassifier:
@@ -160,9 +169,7 @@ class LogisticRegressionClassifier:
     def predict(self, features) -> np.ndarray:
         if self.weights is None:
             raise DataError("predict before fit")
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != len(self.weights):
-            raise DataError(f"features must be (rows, {len(self.weights)}), got shape {x.shape}")
+        x = _test_set(features, len(self.weights))
         with np.errstate(over="ignore"):
             p = self._sigmoid(x @ self.weights + self.bias)
         # p == 0.5 exactly (e.g. zero weights) resolves to the majority class
@@ -183,8 +190,7 @@ class DiscriminatorClassifier:
     def predict(self, features) -> np.ndarray:
         if self.network is None:
             raise DataError("predict before fit")
-        x = np.asarray(features, dtype=np.float64)
-        probs = self.network.forward(x)
+        probs = self.network.forward(_test_set(features, self.model.dataset.n_features))
         # output node 0 is the minority node
         return (probs[:, 0] > probs[:, 1]).astype(int)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import click
@@ -32,7 +33,8 @@ def main() -> None:
               help="Output directory for reports.")
 @click.option("--seed", type=int, default=None,
               help="Override the config master seed.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=int, default=lambda: len(os.sched_getaffinity(0)),
+              show_default="the CPUs this process may use",
               help="Parallel worker processes.")
 def run(config_path, out_dir, seed, jobs) -> None:
     """Run the full cross-validated benchmark grid."""

@@ -55,7 +55,8 @@ def full_report():
         n_shuffles=5,
         seed=0,
     )
-    report, _ = run_benchmark(cfg)
+    # two workers give the bytes of a serial run (test_parallel_matches_serial)
+    report, _ = run_benchmark(cfg, jobs=2)
     return report
 
 

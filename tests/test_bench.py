@@ -12,6 +12,7 @@ from convgen.bench import (
     DatasetSpec,
     OversamplerSpec,
     _check_keys,
+    _worker_pool,
     dump_report,
     FoldResult,
     emit_report,
@@ -471,6 +472,16 @@ class TestRunBenchmark:
         serial = dump_report(run_benchmark(cfg, jobs=1)[0])
         parallel = dump_report(run_benchmark(cfg, jobs=2)[0])
         assert serial == parallel
+
+    def test_workers_run_one_blas_thread_and_the_environment_is_restored(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        with _worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, names))
+        assert seen == ["1", "1", "1"]
+        assert os.environ["OMP_NUM_THREADS"] == "3"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 class TestRendering:

@@ -257,6 +257,15 @@ class TestDiscriminatorClassifier:
         with pytest.raises(DataError, match="0 and 1"):
             DiscriminatorClassifier(model).fit(np.arange(8.0).reshape(4, 2), np.array(labels))
 
+    @pytest.mark.parametrize("features", [np.zeros((2, 4, 2)), np.zeros((4, 3)),
+                                          np.zeros((4, 1)), np.zeros(2)],
+                             ids=["3-D", "wider", "narrower", "1-D"])
+    def test_predict_rejects_other_shapes(self, model, features):
+        ds = model.dataset
+        doc = DiscriminatorClassifier(model).fit(ds.features, ds.labels)
+        with pytest.raises(DataError, match=r"features must be \(rows, 2\)"):
+            doc.predict(features)
+
 
 MALFORMED_TRAINING_SETS = {
     "1-D features": (np.zeros(4), [0, 1, 0, 1]),

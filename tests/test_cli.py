@@ -1,8 +1,11 @@
 import json
+import os
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
+import convgen.cli as cli
 from convgen.cli import main
 
 from test_bench import write_toy_csv
@@ -64,6 +67,23 @@ class TestRunCommand:
         b = json.loads((tmp_path / "b" / "report.json").read_text())
         assert a["config"]["seed"] == 1 and b["config"]["seed"] == 2
         assert a["fold_indices"] != b["fold_indices"]
+
+    @pytest.mark.parametrize("flag,expected", [([], len(os.sched_getaffinity(0))),
+                                               (["--jobs", "1"], 1)])
+    def test_jobs_default_to_the_usable_cpus(self, tmp_path, monkeypatch, flag, expected):
+        seen = []
+
+        def no_run(cfg, jobs, progress):
+            seen.append(jobs)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(cli, "run_benchmark", no_run)
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        result = CliRunner().invoke(main, ["run", "--config", str(make_config(tmp_path, csv_path))]
+                                    + flag)
+        assert result.exit_code == 0, result.output
+        assert seen == [expected]
 
 
 class TestPcaCommand:

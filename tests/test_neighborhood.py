@@ -323,6 +323,63 @@ class TestScreenedRanking:
         assert peak <= per_pair * pairs
 
 
+class TestCentredScreen:
+    """The float32 screen of centred, scaled rows and its grouped-minimum
+    threshold, each case checked against the per-row loop."""
+
+    @pytest.mark.parametrize("layout", ["gauss", "grid"])
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_pools_around_the_grouped_threshold(self, layout, k, extra):
+        # n_pool = GROUPS * k switches from the plain partition to group minima
+        n_pool = neighborhood_mod.GROUPS * k + extra
+        rng = np.random.default_rng(46 + n_pool)
+        if layout == "grid":
+            pool = rng.integers(-1, 2, size=(n_pool, 3)).astype(float)
+        else:
+            pool = rng.normal(size=(n_pool, 3))
+        assert_same_as_loop(pool, k)
+        assert_same_as_loop(pool[::2] + 0.5, k, pool)
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6])
+    def test_offset_rows_with_unit_spread(self, offset):
+        rng = np.random.default_rng(47)
+        pool = offset + rng.normal(size=(300, 5))
+        for k in (1, 5):
+            assert_same_as_loop(pool, k)
+            assert_same_as_loop(offset + rng.normal(size=(40, 5)), k, pool)
+
+    @pytest.mark.parametrize("scale", [1e30, 1e-30, 1e40, 1e-40])
+    def test_scales_beyond_float32_range(self, scale):
+        # unscaled, the float32 rows or their products would overflow or
+        # underflow
+        rng = np.random.default_rng(48)
+        pool = rng.normal(size=(300, 5)) * scale
+        pool[::5] = np.round(pool[::5] / scale) * scale  # exact distance ties
+        for k in (1, 5):
+            assert_same_as_loop(pool, k)
+            assert_same_as_loop(pool[:40] + 0.5 * scale, k, pool)
+
+    @pytest.mark.parametrize("offset,scale", [(1e4, 1.0), (0.0, 1e40), (0.0, 1e-40)])
+    def test_offset_and_scaled_pool_block_temporaries_are_bounded(self, monkeypatch,
+                                                                  offset, scale):
+        # twins of test_block_temporaries_are_bounded: every row is a candidate
+        # unless the screen centres and scales the rows
+        block_pairs, f = 4096, 8
+        monkeypatch.setattr(neighborhood_mod, "BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(45)
+        pool = offset + rng.normal(size=(2000, f)) * scale
+        queries = offset + rng.normal(size=(300, f)) * scale
+        pairs = (block_pairs // len(pool)) * len(pool)
+        tracemalloc.start()
+        try:
+            ranked_neighbors(queries, 5, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * pairs
+
+
 class TestShapeGate:
     def test_narrower_pool_rejected(self):
         with pytest.raises(DataError, match="feature width 3 != fitted 1"):
@@ -337,3 +394,8 @@ class TestShapeGate:
     def test_inputs_must_be_2d(self, queries, pool):
         with pytest.raises(DataError, match="must be 2-D"):
             ranked_neighbors(queries, 2, pool)
+
+    @pytest.mark.parametrize("k", [0, -1, True, 2.0, None])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(DataError, match="k must be an integer >= 1"):
+            ranked_neighbors(np.zeros((3, 2)), k)
