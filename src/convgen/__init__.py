@@ -1,6 +1,6 @@
 """Convex-space generative oversampling for small imbalanced tabular data."""
 
-from .data import Dataset, FoldPlan, ScaleInfo, compute_alpha, load_csv, scale, stratified_kfold, unscale
+from .data import Dataset, FoldPlan, load_csv, stratified_kfold
 from .model import ConvGeNConfig, ConvGeNModel, SyntheticBatch
 from .metrics import ConfusionMatrix, cohen_kappa, confusion, f1_minority
 
@@ -10,16 +10,12 @@ __all__ = [
     "ConvGeNModel",
     "Dataset",
     "FoldPlan",
-    "ScaleInfo",
     "SyntheticBatch",
     "cohen_kappa",
-    "compute_alpha",
     "confusion",
     "f1_minority",
     "load_csv",
-    "scale",
     "stratified_kfold",
-    "unscale",
 ]
 
 __version__ = "0.1.0"

@@ -4,12 +4,10 @@ interpolation, and an adapter for pre-generated synthetic CSV files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import nn
-from .data import DataError, ScaleInfo, compute_alpha, require_int, scale, unscale
+from .data import DataError, require_int
 from .neighborhood import ranked_neighbors
 
 
@@ -44,62 +42,52 @@ def interpolation_sample(minority: np.ndarray, k: int, n_synthetic: int,
     return samples, np.column_stack([a, b])
 
 
-@dataclass
-class GanConfig:
-    """Layer sizing and training settings for the vanilla GAN baseline.
+class Gan:
+    """Minority-only vanilla GAN baseline.
 
     With f features: noise size 16f; generator hidden layers 32f, 4f, 2f
     (ReLU) with a softsign output of width f; discriminator hidden layers
     40f, 20f, 10f (ReLU) with a sigmoid output. Training settings the
     source leaves open are fixed: Adam at nn.ADAM_LR, batches of
     min(32, |minority|) rows, uniform(-1, 1) noise, one discriminator step
-    per generator step.
+    per generator step. Training divides the rows by alpha = max(1, 1.1 *
+    largest |x|), so softsign covers their range; generated rows are
+    multiplied back by it.
     """
 
-    n_features: int
-    epochs: int = 300
-    seed: int = 0
-
-    @property
-    def noise_size(self) -> int:
-        return 16 * self.n_features
-
-
-class Gan:
-    """Minority-only GAN with alpha pre-scaling so softsign covers the range."""
-
-    def __init__(self, cfg: GanConfig) -> None:
-        self.cfg = cfg
-        f = cfg.n_features
-        nu = cfg.noise_size
+    def __init__(self, n_features: int, epochs: int = 300, seed: int = 0) -> None:
+        f = n_features
+        self.epochs = epochs
+        self.seed = seed
+        self.noise_size = nu = 16 * f
         self.generator = nn.dense_network(
             [nu, 2 * nu, 4 * f, 2 * f, f],
             ["relu", "relu", "relu", "softsign"],
-            seed=cfg.seed,
+            seed=seed,
         )
         self.discriminator = nn.dense_network(
             [f, 40 * f, 20 * f, 10 * f, 1],
             ["relu", "relu", "relu", "sigmoid"],
-            seed=cfg.seed + 1,
+            seed=seed + 1,
         )
-        self.alpha: ScaleInfo | None = None
+        self.alpha: float | None = None
         self.loss_history: list[tuple[float, float]] = []
 
     def train(self, minority: np.ndarray) -> "Gan":
         if len(minority) < 2:
             raise DataError("GAN training needs at least two minority rows")
-        self.alpha = compute_alpha(minority)
-        scaled = scale(minority, self.alpha)
-        rng = np.random.default_rng(self.cfg.seed)
+        self.alpha = max(1.0, 1.1 * float(np.abs(minority).max(initial=0.0)))
+        scaled = minority / self.alpha
+        rng = np.random.default_rng(self.seed)
         batch = min(32, len(scaled))
         self.loss_history = []
 
-        for _ in range(self.cfg.epochs):
+        for _ in range(self.epochs):
             order = rng.permutation(len(scaled))
             for start in range(0, len(scaled), batch):
                 real = scaled[order[start:start + batch]]
                 m = len(real)
-                noise = rng.uniform(-1.0, 1.0, size=(m, self.cfg.noise_size))
+                noise = rng.uniform(-1.0, 1.0, size=(m, self.noise_size))
                 fake = self.generator.forward(noise)
 
                 # discriminator step: real -> 1, fake -> 0
@@ -110,7 +98,7 @@ class Gan:
                 self.discriminator.step()
 
                 # generator step: make fakes look real through a frozen D
-                noise = rng.uniform(-1.0, 1.0, size=(m, self.cfg.noise_size))
+                noise = rng.uniform(-1.0, 1.0, size=(m, self.noise_size))
                 fake = self.generator.forward(noise)
                 g_pred = self.discriminator.forward(fake)
                 g_loss, grad = nn.loss("bce", g_pred, np.ones((m, 1)))
@@ -124,13 +112,12 @@ class Gan:
     def generate(self, n_synthetic: int) -> np.ndarray:
         if self.alpha is None:
             raise DataError("generate before train")
-        if n_synthetic == 0:
-            return np.empty((0, self.cfg.n_features))
-        rng = np.random.default_rng(self.cfg.seed + 2)
-        noise = rng.uniform(-1.0, 1.0, size=(n_synthetic, self.cfg.noise_size))
-        # widen before unscaling: |row| <= 1 then gives |row * alpha| <= alpha in
+        n_synthetic = require_int("n_synthetic", n_synthetic, 0)
+        rng = np.random.default_rng(self.seed + 2)
+        noise = rng.uniform(-1.0, 1.0, size=(n_synthetic, self.noise_size))
+        # widen before multiplying: |row| <= 1 then gives |row * alpha| <= alpha in
         # float64, which a product rounded in float32 can exceed
-        return unscale(self.generator.forward(noise).astype(np.float64), self.alpha)
+        return self.generator.forward(noise).astype(np.float64) * self.alpha
 
 
 def load_synthetic_csv(path, n_features: int) -> np.ndarray:
@@ -151,6 +138,8 @@ def load_synthetic_csv(path, n_features: int) -> np.ndarray:
             raise DataError(f"{path}:{lineno}: non-numeric cell") from None
         if len(row) != n_features:
             raise DataError(f"{path}:{lineno}: expected {n_features} columns, got {len(row)}")
+        if not np.all(np.isfinite(row)):
+            raise DataError(f"{path}:{lineno}: non-finite cell")
         rows.append(row)
     if not rows:
         raise DataError(f"{path}: no synthetic rows")

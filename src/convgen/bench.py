@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .baselines import Gan, GanConfig, interpolation_sample, load_synthetic_csv, repeater_sample
+from .baselines import Gan, interpolation_sample, load_synthetic_csv, repeater_sample
 from .classifiers import (
     DiscriminatorClassifier,
     ExternalPredictions,
@@ -162,12 +162,7 @@ def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
         return FoldResult(synthetic, provenance)
 
     if spec.kind == "gan":
-        cfg = GanConfig(
-            n_features=train.n_features,
-            epochs=_positive_int(spec, "epochs", 300),
-            seed=seed,
-        )
-        gan = Gan(cfg).train(minority_rows)
+        gan = Gan(train.n_features, _positive_int(spec, "epochs", 300), seed).train(minority_rows)
         return FoldResult(gan.generate(n_synthetic), minority_ids.copy())
 
     if spec.kind == "convgen":

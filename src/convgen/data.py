@@ -1,8 +1,7 @@
-"""Dataset loading, class partitioning, stratified folds, and GAN pre-scaling.
+"""Dataset loading, class partitioning and stratified folds.
 
 In-memory label convention is fixed: 1 = minority, 0 = majority, whatever
-the on-disk encoding was. Features stay raw; the only transform offered is
-the alpha scaling used by the GAN baseline.
+the on-disk encoding was. Features stay raw.
 """
 
 from __future__ import annotations
@@ -161,26 +160,3 @@ def stratified_kfold(dataset: Dataset, n_folds: int, n_shuffles: int, seed: int)
                     assignments[s, i] = fold
                 pos += size
     return FoldPlan(assignments)
-
-
-@dataclass(frozen=True)
-class ScaleInfo:
-    alpha: float
-
-    def __post_init__(self):
-        if self.alpha < 1.0:
-            raise DataError("alpha must be >= 1.0")
-
-
-def compute_alpha(features: np.ndarray) -> ScaleInfo:
-    """alpha = max(1.0, 1.1 * largest absolute feature value)."""
-    max_norm = float(np.max(np.abs(features))) if features.size else 0.0
-    return ScaleInfo(alpha=max(1.0, 1.1 * max_norm))
-
-
-def scale(features: np.ndarray, info: ScaleInfo) -> np.ndarray:
-    return features / info.alpha
-
-
-def unscale(features: np.ndarray, info: ScaleInfo) -> np.ndarray:
-    return features * info.alpha

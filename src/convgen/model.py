@@ -22,7 +22,7 @@ layers.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .data import DataError, Dataset, require_int
 from .neighborhood import knn_minority, majority_neighborhoods
 from .rng import derive_seed
 
-CHECKPOINT_FORMAT = "convgen-checkpoint-v2"
+CHECKPOINT_FORMAT = "convgen-checkpoint-v3"
+_CHECKPOINT_KEYS = ("config", "training_data_sha256", "generator", "discriminator")
 SIMPLEX_TOL = 1e-5
 # Elements in the largest array of one Generator.forward_stack call, so a
 # pass over big neighborhoods (neb="min") runs in several stacks.
@@ -55,15 +56,12 @@ class ConvGeNConfig:
     """Model settings; `neb="min"` means the whole minority class.
 
     The generator emits neb rows per neighborhood (the paper's gen = neb).
-    k_prime is the row count the convolution reduces a neighborhood to;
-    None means ceil(neb / 2).
     """
 
     neb: int | str = "min"
     disc_train_count: int = 5
     neb_epochs: int = 10
     maj_proximal: bool = False
-    k_prime: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -71,8 +69,7 @@ class ConvGeNConfig:
             require_int("neb", self.neb, 2)
         require_int("disc_train_count", self.disc_train_count, 0)
         require_int("neb_epochs", self.neb_epochs, 0)
-        if self.k_prime is not None:
-            require_int("k_prime", self.k_prime, 1)
+        require_int("seed", self.seed, float("-inf"))
         if not isinstance(self.maj_proximal, bool):
             raise DataError(f"maj_proximal must be a bool, got {self.maj_proximal!r}")
 
@@ -226,8 +223,8 @@ class ConvGeNModel:
         self._neb = cfg.resolve_neb(dataset.minority_count)
         if self._neb < 2:
             raise DataError("ConvGeN needs at least 2 minority samples")
-        k_prime = cfg.k_prime if cfg.k_prime is not None else max(1, (self._neb + 1) // 2)
-        k_prime = min(k_prime, self._neb - 1)
+        # the convolution reduces a neighborhood to ceil(neb / 2) rows
+        k_prime = (self._neb + 1) // 2
         n_params = Generator.param_count(self._neb, dataset.n_features, k_prime)
         if n_params > MAX_GENERATOR_PARAMS:
             raise DataError(
@@ -406,7 +403,7 @@ class ConvGeNModel:
         self._require_fitted()
         payload = {
             "format": CHECKPOINT_FORMAT,
-            "config": {**asdict(self.config), "k_prime": self.generator.k_prime},
+            "config": asdict(self.config),
             "training_data_sha256": _fingerprint(self.dataset),
             "generator": _dump_network(self.generator.net),
             "discriminator": _dump_network(self.discriminator),
@@ -418,16 +415,31 @@ class ConvGeNModel:
     def load(path, dataset: Dataset) -> "ConvGeNModel":
         """Restore weights; `dataset` must be the training data the model saw."""
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"{path}: checkpoint is not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise DataError(f"{path}: checkpoint is a JSON {type(payload).__name__}, not an object")
         fmt = payload.get("format")
         if fmt != CHECKPOINT_FORMAT:
             raise DataError(
                 f"{path}: checkpoint format {fmt!r} is not {CHECKPOINT_FORMAT!r}; "
                 "retrain and save the model again"
             )
+        missing = sorted(set(_CHECKPOINT_KEYS) - set(payload))
+        if missing:
+            raise DataError(f"{path}: checkpoint lacks {missing}")
         if payload["training_data_sha256"] != _fingerprint(dataset):
             raise DataError(f"{path}: checkpoint does not match this training data")
-        model = ConvGeNModel(ConvGeNConfig(**payload["config"]))
+        config = payload["config"]
+        names = {f.name for f in fields(ConvGeNConfig)}
+        if not isinstance(config, dict) or set(config) != names:
+            raise DataError(f"{path}: checkpoint config must hold exactly {sorted(names)}")
+        try:
+            model = ConvGeNModel(ConvGeNConfig(**config))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         model._setup(dataset)
         _load_network(model.generator.net, payload["generator"], path)
         _load_network(model.discriminator, payload["discriminator"], path)
@@ -447,10 +459,15 @@ def _dump_network(net: nn.Network) -> dict:
     return {"dtype": net.params.dtype.name, "params": net.params.tolist()}
 
 
-def _load_network(net: nn.Network, dumped: dict, path) -> None:
-    if dumped["dtype"] != net.params.dtype.name or len(dumped["params"]) != net.params.size:
+def _load_network(net: nn.Network, dumped, path) -> None:
+    if not (isinstance(dumped, dict) and isinstance(dumped.get("params"), list)):
+        raise DataError(f"{path}: a network entry must hold a 'dtype' and a 'params' list")
+    if dumped.get("dtype") != net.params.dtype.name or len(dumped["params"]) != net.params.size:
         raise DataError(
-            f"{path}: checkpoint holds {len(dumped['params'])} {dumped['dtype']} parameters, "
+            f"{path}: checkpoint holds {len(dumped['params'])} {dumped.get('dtype')} parameters, "
             f"the network {net.params.size} {net.params.dtype.name}"
         )
-    net.params[...] = dumped["params"]
+    try:
+        net.params[...] = dumped["params"]
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: checkpoint parameters must be numbers") from None

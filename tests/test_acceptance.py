@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from convgen import nn
-from convgen.baselines import Gan, GanConfig
+from convgen.baselines import Gan
 from convgen.bench import (
     BenchmarkConfig,
     ClassifierSpec,
@@ -23,7 +23,7 @@ from convgen.bench import (
     oversample_fold,
     run_benchmark,
 )
-from convgen.data import compute_alpha, scale, stratified_kfold, unscale
+from convgen.data import stratified_kfold
 from convgen.metrics import ConfusionMatrix, cohen_kappa, f1_minority
 from convgen.model import ConvGeNConfig, ConvGeNModel, Generator
 from convgen.pca import pca_project
@@ -270,14 +270,16 @@ def test_repeater_baseline_sanity(capsys, full_report):
 def test_gan_bound_and_roundtrip(capsys):
     dataset = two_blob_dataset(seed=11, n_majority=40, n_minority=10)
     minority = dataset.features[dataset.minority_indices]
-    gan = Gan(GanConfig(n_features=2, epochs=30, seed=4)).train(minority)
+    gan = Gan(2, epochs=30, seed=4).train(minority)
     rows = gan.generate(200)
-    bound_ok = bool(np.all(np.abs(rows) <= gan.alpha.alpha))
+    bound_ok = bool(np.all(np.abs(rows) <= gan.alpha))
 
     rng = np.random.default_rng(5)
     data = rng.normal(scale=7.0, size=(100, 6))
-    info = compute_alpha(data)
-    roundtrip = float(np.max(np.abs(unscale(scale(data, info), info) - data)))
+    # a generator that returns the scaled rows: generate must give them back
+    scaler = Gan(6, epochs=0).train(data)
+    scaler.generator.forward = lambda noise: data / scaler.alpha
+    roundtrip = float(np.max(np.abs(scaler.generate(len(data)) - data)))
     ok = bound_ok and roundtrip < 1e-12
     verdict(capsys, "gan-bound-roundtrip", ok, f"roundtrip {roundtrip:.2e}")
     assert bound_ok

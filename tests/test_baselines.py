@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from convgen.baselines import (
-    Gan,
-    GanConfig,
-    interpolation_sample,
-    load_synthetic_csv,
-    repeater_sample,
-)
-from convgen.data import DataError, compute_alpha, scale, unscale
+from convgen.baselines import Gan, interpolation_sample, load_synthetic_csv, repeater_sample
+from convgen.data import DataError
 from tests.conftest import two_blob_dataset
 
 
@@ -84,10 +78,10 @@ class TestInterpolation:
 
 class TestGan:
     def test_noise_size_for_8_features(self):
-        assert GanConfig(n_features=8).noise_size == 128
+        assert Gan(8).noise_size == 128
 
     def test_layer_sizes_follow_feature_count(self):
-        gan = Gan(GanConfig(n_features=3, seed=0))
+        gan = Gan(3, seed=0)
         gen_sizes = [layer.w.shape for layer in gan.generator.layers]
         assert gen_sizes == [(48, 96), (96, 12), (12, 6), (6, 3)]
         disc_sizes = [layer.w.shape for layer in gan.discriminator.layers]
@@ -96,9 +90,9 @@ class TestGan:
     def test_generated_rows_bounded_by_alpha(self):
         ds = two_blob_dataset(seed=41)
         minority = ds.features[ds.minority_indices]
-        gan = Gan(GanConfig(n_features=2, epochs=5, seed=1)).train(minority)
+        gan = Gan(2, epochs=5, seed=1).train(minority)
         rows = gan.generate(100)
-        assert np.max(np.abs(rows)) <= gan.alpha.alpha
+        assert np.max(np.abs(rows)) <= gan.alpha
 
     def test_saturated_generator_stays_within_alpha_in_float64(self):
         # a huge last layer drives softsign to +-1 in float32; the bound must
@@ -107,27 +101,29 @@ class TestGan:
         for seed in range(60):
             rng = np.random.default_rng(seed)
             minority = rng.normal(scale=rng.uniform(0.5, 50.0), size=(6, 3))
-            gan = Gan(GanConfig(n_features=3, epochs=1, seed=seed)).train(minority)
+            gan = Gan(3, epochs=1, seed=seed).train(minority)
             gan.generator.layers[-1].w *= 1e9
             rows = gan.generate(50)
-            over += int(np.sum(np.abs(rows.astype(np.float64)) > gan.alpha.alpha))
+            over += int(np.sum(np.abs(rows.astype(np.float64)) > gan.alpha))
         assert over == 0
 
     def test_scaling_round_trip(self):
+        # a generator that returns the scaled training rows: generate must
+        # give the rows back
         feats = np.random.default_rng(6).normal(scale=4.0, size=(25, 3))
-        info = compute_alpha(feats)
-        assert np.max(np.abs(unscale(scale(feats, info), info) - feats)) < 1e-12
+        gan = Gan(3, epochs=0).train(feats)
+        gan.generator.forward = lambda noise: feats / gan.alpha
+        assert np.max(np.abs(gan.generate(len(feats)) - feats)) < 1e-12
 
     def test_discriminator_learns_against_frozen_generator(self):
         ds = two_blob_dataset(seed=42)
         minority = ds.features[ds.minority_indices]
-        gan = Gan(GanConfig(n_features=2, seed=2))
-        info = compute_alpha(minority)
-        real = scale(minority, info)
+        gan = Gan(2, epochs=0, seed=2).train(minority)
+        real = minority / gan.alpha
         rng = np.random.default_rng(5)
         losses = []
         for _ in range(100):
-            noise = rng.uniform(-1, 1, size=(len(real), gan.cfg.noise_size))
+            noise = rng.uniform(-1, 1, size=(len(real), gan.noise_size))
             fake = gan.generator.forward(noise)  # generator never updates
             batch = np.vstack([real, fake])
             target = np.vstack([np.ones((len(real), 1)), np.zeros((len(fake), 1))])
@@ -140,19 +136,46 @@ class TestGan:
     def test_fixed_seed_reproduces_output(self):
         ds = two_blob_dataset(seed=43)
         minority = ds.features[ds.minority_indices]
-        a = Gan(GanConfig(n_features=2, epochs=3, seed=9)).train(minority).generate(10)
-        b = Gan(GanConfig(n_features=2, epochs=3, seed=9)).train(minority).generate(10)
+        a = Gan(2, epochs=3, seed=9).train(minority).generate(10)
+        b = Gan(2, epochs=3, seed=9).train(minority).generate(10)
         assert np.array_equal(a, b)
 
     def test_zero_request_is_empty(self):
         ds = two_blob_dataset(seed=44)
-        gan = Gan(GanConfig(n_features=2, epochs=1, seed=0))
+        gan = Gan(2, epochs=1, seed=0)
         gan.train(ds.features[ds.minority_indices])
         assert gan.generate(0).shape == (0, 2)
 
+    @pytest.mark.parametrize("n", [2.0, True, -1, 2.5])
+    def test_non_integer_or_negative_request_rejected(self, n):
+        ds = two_blob_dataset(seed=44)
+        gan = Gan(2, epochs=1).train(ds.features[ds.minority_indices])
+        with pytest.raises(DataError, match="n_synthetic must be an integer >= 0"):
+            gan.generate(n)
+
     def test_generate_before_train(self):
         with pytest.raises(DataError):
-            Gan(GanConfig(n_features=2)).generate(1)
+            Gan(2).generate(1)
+
+
+class TestAlphaScaling:
+    """Gan.train divides the rows by alpha = max(1, 1.1 * largest |x|)."""
+
+    def test_alpha_for_max_entry_two(self):
+        feats = np.array([[2.0, -1.0], [0.5, 0.0]])
+        assert Gan(2, epochs=0).train(feats).alpha == pytest.approx(2.2)
+
+    def test_alpha_floors_at_one(self):
+        feats = np.array([[0.9, -0.9], [0.1, 0.0]])
+        assert Gan(2, epochs=0).train(feats).alpha == 1.0
+
+    def test_scaled_entries_fit_softsign_range(self):
+        feats = np.random.default_rng(4).normal(scale=7.0, size=(30, 5))
+        scaled = feats / Gan(5, epochs=0).train(feats).alpha
+        # brute-force bound check over every entry
+        for value in scaled.reshape(-1):
+            assert -1.0 <= value <= 1.0
+        assert np.max(np.abs(scaled)) <= 1.0 / 1.1 + 1e-12
 
 
 class TestSyntheticCsv:
@@ -169,6 +192,13 @@ class TestSyntheticCsv:
         short.write_text("1,2,3\n4,5,6,7\n8,9,10,11\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"short\.csv:1: expected 4 columns, got 3"):
             load_synthetic_csv(short, 4)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1.0,2.0\n{cell},2\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"bad\.csv:2: non-finite cell"):
+            load_synthetic_csv(bad, 2)
 
     def test_wrong_width_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

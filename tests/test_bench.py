@@ -173,6 +173,7 @@ class TestOversampleFold:
         ("from-file", {"path": "rows.csv", "rows": 3}, "rows"),
         ("convgen", {"neb_epoch": 1}, "neb_epoch"),
         ("convgen", {"preset": "5,maj", "seed": 3}, "seed"),
+        ("convgen", {"k_prime": 3}, "k_prime"),
     ])
     def test_unknown_key_rejected(self, toy_dataset, kind, params, key):
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
@@ -205,15 +206,18 @@ class TestOversampleFold:
         ("neb_epochs", "2"),
         ("neb", 5.0),
         ("neb", True),
-        ("k_prime", 1.5),
-        ("k_prime", 0),
         ("maj_proximal", 1),
         ("disc_train_count", -1),
+        ("k_prime", 0),
+        ("k_prime", 1.5),
     ])
     def test_convgen_value_types_rejected(self, toy_dataset, key, value):
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
         train_ids = plan.train_indices(0, 0)
-        with pytest.raises(DataError, match=re.escape(key) + ".*" + re.escape(repr(value))):
+        # k_prime is no longer a setting: any value of it is refused as an unknown key
+        pattern = (f"unknown key.*'{key}'" if key == "k_prime"
+                   else re.escape(key) + ".*" + re.escape(repr(value)))
+        with pytest.raises(DataError, match=pattern):
             oversample_fold(OversamplerSpec("cg", "convgen", {key: value}),
                             toy_dataset.subset(train_ids), train_ids, 4, seed=3)
 

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convgen.data import (
-    DataError,
-    Dataset,
-    compute_alpha,
-    load_csv,
-    scale,
-    stratified_kfold,
-    unscale,
-)
+from convgen.baselines import Gan
+from convgen.data import DataError, Dataset, load_csv, stratified_kfold
 
 
 @st.composite
@@ -169,25 +162,11 @@ class TestStratifiedKFold:
 
 
 class TestAlphaScaling:
-    def test_alpha_for_max_entry_two(self):
-        feats = np.array([[2.0, -1.0], [0.5, 0.0]])
-        assert compute_alpha(feats).alpha == pytest.approx(2.2)
-
-    def test_alpha_floors_at_one(self):
-        feats = np.array([[0.9, -0.9], [0.1, 0.0]])
-        assert compute_alpha(feats).alpha == 1.0
-
-    def test_scaled_entries_fit_softsign_range(self):
-        feats = np.random.default_rng(4).normal(scale=7.0, size=(30, 5))
-        info = compute_alpha(feats)
-        scaled = scale(feats, info)
-        # brute-force bound check over every entry
-        for value in scaled.reshape(-1):
-            assert -1.0 <= value <= 1.0
-        assert np.max(np.abs(scaled)) <= 1.0 / 1.1 + 1e-12
+    """The GAN's alpha scaling (rows / alpha in Gan.train, * alpha in Gan.generate)."""
 
     def test_round_trip_within_1e12(self):
         feats = np.random.default_rng(5).normal(scale=3.0, size=(20, 4))
-        info = compute_alpha(feats)
-        back = unscale(scale(feats, info), info)
-        assert np.max(np.abs(back - feats)) < 1e-12
+        gan = Gan(4, epochs=0).train(feats)
+        # a generator that returns the scaled rows: generate must unscale them
+        gan.generator.forward = lambda noise: feats / gan.alpha
+        assert np.max(np.abs(gan.generate(len(feats)) - feats)) < 1e-12

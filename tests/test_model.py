@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -47,9 +48,15 @@ class TestConfig:
         with pytest.raises(DataError):
             ConvGeNConfig(neb="max")
 
-    def test_numpy_integers_and_none_accepted(self):
-        cfg = ConvGeNConfig(neb=np.int64(5), neb_epochs=np.int32(0), k_prime=None)
+    def test_numpy_integers_accepted(self):
+        cfg = ConvGeNConfig(neb=np.int64(5), neb_epochs=np.int32(0), seed=np.uint64(7))
         assert cfg.resolve_neb(12) == 5
+
+    @pytest.mark.parametrize("neb,k_prime", [(2, 1), (3, 2), (5, 3), ("min", 6)])
+    def test_setup_reduces_to_half_the_neighborhood_rounded_up(self, neb, k_prime):
+        model = ConvGeNModel(ConvGeNConfig(neb=neb))
+        model._setup(two_blob_dataset(n_minority=12))
+        assert model.generator.k_prime == k_prime
 
 
 class TestGeneratorSizeGuard:
@@ -509,6 +516,31 @@ class TestCheckpoint:
         with pytest.raises(DataError, match="'convgen-checkpoint-v1'"):
             ConvGeNModel.load(path, ds)
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda p: [p], "JSON list, not an object"),
+        (lambda p: "{", "not JSON"),
+        (lambda p: {k: v for k, v in p.items() if k != "training_data_sha256"},
+         r"lacks \['training_data_sha256'\]"),
+        (lambda p: {**p, "config": {**p["config"], "lr": 0.1}}, "config must hold exactly"),
+        (lambda p: {**p, "config": {**p["config"], "neb_epochs": -1}}, "neb_epochs"),
+        (lambda p: {**p, "config": {**p["config"], "seed": "3"}}, "seed"),
+        (lambda p: {**p, "format": "convgen-checkpoint-v2",
+                    "config": {**p["config"], "k_prime": 3}}, "retrain and save"),
+        (lambda p: {**p, "generator": [1.0, 2.0]}, "network entry"),
+        (lambda p: {**p, "generator": {**p["generator"], "params": ["x"] * len(
+            p["generator"]["params"])}}, "must be numbers"),
+    ], ids=["list", "not-json", "no-sha256", "unknown-config-key", "bad-config-value",
+            "non-integer-seed", "v2", "network-not-an-object", "non-numeric-params"])
+    def test_malformed_checkpoint_rejected_naming_the_file(self, tmp_path, edit, message):
+        model, ds = fitted_toy_model(epochs=1)
+        path = tmp_path / "model.json"
+        model.save(path)
+        edited = edit(json.loads(path.read_text(encoding="utf-8")))
+        path.write_text(edited if isinstance(edited, str) else json.dumps(edited),
+                        encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(str(path)) + ".*" + message):
+            ConvGeNModel.load(path, ds)
+
     def test_same_shape_other_data_rejected(self, tmp_path):
         model, ds = fitted_toy_model(epochs=1)
         path = tmp_path / "model.json"
@@ -525,21 +557,19 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         model.save(path)
         payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["format"] == "convgen-checkpoint-v2"
+        assert payload["format"] == "convgen-checkpoint-v3"
         for key, net in (("generator", model.generator.net), ("discriminator", model.discriminator)):
             assert payload[key]["dtype"] == "float32"
             assert np.array(payload[key]["params"], np.float32).tobytes() == net.params.tobytes()
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(neb=st.integers(2, 7), f=st.integers(1, 4), k_prime=st.integers(1, 6),
-           seed=st.integers(0, 2**16))
-    def test_round_trip_generates_identical_rows(self, tmp_path, neb, f, k_prime, seed):
+    @given(neb=st.integers(2, 7), f=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_round_trip_generates_identical_rows(self, tmp_path, neb, f, seed):
         rng = np.random.default_rng(seed)
         n_min = neb + int(rng.integers(0, 3))
         ds = Dataset(rng.normal(size=(n_min + 10, f)), np.array([1] * n_min + [0] * 10))
-        cfg = ConvGeNConfig(neb=neb, k_prime=min(k_prime, neb - 1), neb_epochs=1,
-                            disc_train_count=1, seed=seed)
+        cfg = ConvGeNConfig(neb=neb, neb_epochs=1, disc_train_count=1, seed=seed)
         model = ConvGeNModel(cfg).fit(ds)
         path = tmp_path / "model.json"
         model.save(path)

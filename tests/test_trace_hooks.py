@@ -61,7 +61,7 @@ def test_fit_runs_generator_stacks_through_the_layer_hooks(monkeypatch):
 
         monkeypatch.setattr(cls, "forward", spy)
     ds = two_blob_dataset(seed=15)
-    ConvGeNModel(ConvGeNConfig(neb=5, neb_epochs=1, disc_train_count=2, k_prime=3)).fit(ds)
+    ConvGeNModel(ConvGeNConfig(neb=5, neb_epochs=1, disc_train_count=2)).fit(ds)
     stacks = {(cls, shape) for cls, shape in shapes if len(shape) == 3}
     assert (Conv1D, (ds.minority_count, 5, 2)) in stacks
     assert (Dense, (ds.minority_count, 1, 3 * 2)) in stacks
