@@ -50,9 +50,9 @@ class Gan:
     40f, 20f, 10f (ReLU) with a sigmoid output. Training settings the
     source leaves open are fixed: Adam at nn.ADAM_LR, batches of
     min(32, |minority|) rows, uniform(-1, 1) noise, one discriminator step
-    per generator step. Training divides the rows by alpha = max(1, 1.1 *
-    largest |x|), so softsign covers their range; generated rows are
-    multiplied back by it.
+    per generator step. Training divides the rows by alpha = 1.1 * largest
+    |x| (1 for all-zero rows), so softsign covers their range at any scale;
+    generated rows are multiplied back by it.
     """
 
     def __init__(self, n_features: int, epochs: int = 300, seed: int = 0) -> None:
@@ -76,7 +76,7 @@ class Gan:
     def train(self, minority: np.ndarray) -> "Gan":
         if len(minority) < 2:
             raise DataError("GAN training needs at least two minority rows")
-        self.alpha = max(1.0, 1.1 * float(np.abs(minority).max(initial=0.0)))
+        self.alpha = 1.1 * float(np.abs(minority).max(initial=0.0)) or 1.0
         scaled = minority / self.alpha
         rng = np.random.default_rng(self.seed)
         batch = min(32, len(scaled))

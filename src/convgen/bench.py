@@ -55,15 +55,30 @@ class Spec:
     params: dict = field(default_factory=dict)
 
 
-OversamplerSpec = ClassifierSpec = Spec
-
-
 def _spec(entry) -> Spec:
     """A config list entry: a bare kind string, or {"kind", "name"?, **params}."""
     if isinstance(entry, str):
         return Spec(entry, entry)
     params = {k: v for k, v in entry.items() if k not in ("name", "kind")}
     return Spec(entry.get("name", entry["kind"]), entry["kind"], params)
+
+
+def _dataset_spec(d) -> DatasetSpec:
+    name = d.get("name", os.path.splitext(os.path.basename(d["path"]))[0])
+    return DatasetSpec(d["path"], d["label_column"], str(d["minority_label"]), name)
+
+
+def _entries(raw: dict, key: str, parse) -> tuple:
+    """raw[key] (none if absent) parsed entry by entry; a missing key names the entry."""
+    parsed = []
+    for i, entry in enumerate(raw.get(key, ())):
+        try:
+            parsed.append(parse(entry))
+        except KeyError as exc:
+            raise DataError(f"{key}[{i}] lacks key {exc}") from None
+        except (AttributeError, TypeError):
+            raise DataError(f"{key}[{i}] is malformed: {entry!r}") from None
+    return tuple(parsed)
 
 
 @dataclass(frozen=True)
@@ -80,33 +95,34 @@ class BenchmarkConfig:
         require_int("n_shuffles", self.n_shuffles, 1)
         require_int("seed", self.seed, float("-inf"))
         # report cells and per-fold scores are keyed by these names
-        for specs in (self.datasets, self.oversamplers, self.classifiers):
-            names = [spec.name for spec in specs]
+        for key in ("datasets", "oversamplers", "classifiers"):
+            names = [spec.name for spec in getattr(self, key)]
+            if not names:
+                raise DataError(f"{key} must list at least one entry")
             if len(set(names)) != len(names):
                 raise DataError(f"names must be unique within a config list, got {names}")
 
     @staticmethod
     def from_json(path, seed_override: int | None = None) -> "BenchmarkConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        datasets = tuple(
-            DatasetSpec(
-                path=d["path"],
-                label_column=d["label_column"],
-                minority_label=str(d["minority_label"]),
-                name=d.get("name", os.path.splitext(os.path.basename(d["path"]))[0]),
-            )
-            for d in raw["datasets"]
-        )
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"{path}: config is not JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: config is a JSON {type(raw).__name__}, not an object")
         seed = raw.get("seed", 0) if seed_override is None else seed_override
-        return BenchmarkConfig(
-            datasets=datasets,
-            oversamplers=tuple(map(_spec, raw["oversamplers"])),
-            classifiers=tuple(map(_spec, raw["classifiers"])),
-            n_folds=raw.get("n_folds", 5),
-            n_shuffles=raw.get("n_shuffles", 5),
-            seed=seed,
-        )
+        try:
+            return BenchmarkConfig(
+                datasets=_entries(raw, "datasets", _dataset_spec),
+                oversamplers=_entries(raw, "oversamplers", _spec),
+                classifiers=_entries(raw, "classifiers", _spec),
+                n_folds=raw.get("n_folds", 5),
+                n_shuffles=raw.get("n_shuffles", 5),
+                seed=seed,
+            )
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -382,22 +398,12 @@ def dump_report(report: dict) -> str:
 
 
 def report_to_csv(report: dict) -> str:
-    lines = ["dataset,oversampler,classifier,status,f1_mean,f1_std,kappa_mean,kappa_std"]
+    names = ("dataset", "oversampler", "classifier", "status")
+    stats = ("f1_mean", "f1_std", "kappa_mean", "kappa_std")
+    lines = [",".join(names + stats)]
     for cell in report["cells"]:
-        lines.append(
-            ",".join(
-                [
-                    cell["dataset"],
-                    cell["oversampler"],
-                    cell["classifier"],
-                    cell["status"],
-                    *(
-                        f"{cell[key]:.6f}" if key in cell else ""
-                        for key in ("f1_mean", "f1_std", "kappa_mean", "kappa_std")
-                    ),
-                ]
-            )
-        )
+        values = [f"{cell[key]:.6f}" if key in cell else "" for key in stats]
+        lines.append(",".join([cell[key] for key in names] + values))
     return "\n".join(lines) + "\n"
 
 
@@ -420,10 +426,8 @@ def report_to_markdown(report: dict) -> str:
         lookup = {(c["oversampler"], c["classifier"]): c for c in cells}
         for clf in classifiers:
             row_cells = [lookup.get((ovs, clf)) for ovs in oversamplers]
-            best = None
             scored = [c for c in row_cells if c and "f1_mean" in c]
-            if scored:
-                best = max(scored, key=lambda c: c["f1_mean"])
+            best = max(scored, key=lambda c: c["f1_mean"], default=None)
             rendered = []
             for c in row_cells:
                 if c is None or "f1_mean" not in c:

@@ -33,7 +33,8 @@ def main() -> None:
               help="Output directory for reports.")
 @click.option("--seed", type=int, default=None,
               help="Override the config master seed.")
-@click.option("--jobs", type=int, default=lambda: len(os.sched_getaffinity(0)),
+@click.option("--jobs", type=click.IntRange(min=1),
+              default=lambda: len(os.sched_getaffinity(0)),
               show_default="the CPUs this process may use",
               help="Parallel worker processes.")
 def run(config_path, out_dir, seed, jobs) -> None:

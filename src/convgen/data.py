@@ -153,10 +153,6 @@ def stratified_kfold(dataset: Dataset, n_folds: int, n_shuffles: int, seed: int)
             order = list(map(int, class_indices))
             rng.shuffle(order)
             base, extra = divmod(len(order), n_folds)
-            pos = 0
-            for fold in range(n_folds):
-                size = base + (1 if fold < extra else 0)
-                for i in order[pos:pos + size]:
-                    assignments[s, i] = fold
-                pos += size
+            sizes = base + (np.arange(n_folds) < extra)
+            assignments[s, order] = np.repeat(np.arange(n_folds), sizes)
     return FoldPlan(assignments)

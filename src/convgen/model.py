@@ -101,11 +101,6 @@ class SyntheticBatch:
     source_neighborhood: np.ndarray  # (neb,) row ids into the training dataset
     coefficients: np.ndarray         # (neb, n_rows) simplex columns
 
-    def reconstruction_error(self, neighborhood_rows: np.ndarray) -> float:
-        """Max abs deviation between stored samples and K^T x N."""
-        rebuilt = self.coefficients.T @ neighborhood_rows
-        return float(np.max(np.abs(rebuilt - self.samples))) if self.samples.size else 0.0
-
 
 def check_simplex(k: np.ndarray) -> None:
     """Raise unless every column of K, or of each K in a (..., neb, neb)
@@ -122,21 +117,20 @@ def check_simplex(k: np.ndarray) -> None:
 class Generator:
     """conv1d reduction -> dense -> ReLU -> column normalization -> K.
 
-    The network runs in the engine's dtype; its neb x neb logits are widened
+    The convolution reduces a neighborhood to k' = ceil(neb / 2) rows. The
+    network runs in the engine's dtype; its neb x neb logits are widened
     to float64 once, so K, its normalization and C = K^T x neighborhood are
     float64 and C lies in the hull of the float64 dataset rows.
     """
 
-    def __init__(self, neb: int, n_features: int, k_prime: int, seed: int) -> None:
-        if not 1 <= k_prime < neb:
-            raise DataError(f"k_prime must satisfy 1 <= k_prime < neb, got {k_prime}/{neb}")
+    def __init__(self, neb: int, n_features: int, seed: int) -> None:
         self.neb = neb
         self.n_features = n_features
-        self.k_prime = k_prime
+        self.k_prime = k_prime = (neb + 1) // 2
         rng = np.random.default_rng(seed)
         self.net = nn.Network(
             [
-                nn.Conv1D(neb, k_prime, n_features, "identity", rng),
+                nn.Conv1D(neb, k_prime, n_features, rng),
                 nn.Dense(k_prime * n_features, neb * neb, "identity", rng),
             ]
         )
@@ -145,8 +139,9 @@ class Generator:
         self._sums = None
 
     @staticmethod
-    def param_count(neb: int, n_features: int, k_prime: int) -> int:
+    def param_count(neb: int, n_features: int) -> int:
         """Conv1D kernel and bias plus the Dense k'f -> neb^2 weights and bias."""
+        k_prime = (neb + 1) // 2
         return (neb - k_prime + 2) * n_features + (k_prime * n_features + 1) * neb * neb
 
     def forward(self, neighborhood: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,17 +218,14 @@ class ConvGeNModel:
         self._neb = cfg.resolve_neb(dataset.minority_count)
         if self._neb < 2:
             raise DataError("ConvGeN needs at least 2 minority samples")
-        # the convolution reduces a neighborhood to ceil(neb / 2) rows
-        k_prime = (self._neb + 1) // 2
-        n_params = Generator.param_count(self._neb, dataset.n_features, k_prime)
+        n_params = Generator.param_count(self._neb, dataset.n_features)
         if n_params > MAX_GENERATOR_PARAMS:
             raise DataError(
                 f"neb={self._neb} needs a generator of {n_params} parameters, over the "
                 f"{MAX_GENERATOR_PARAMS} limit; use a fixed neighbourhood such as neb=5"
             )
         self.generator = Generator(
-            self._neb, dataset.n_features, k_prime,
-            seed=derive_seed(cfg.seed, "generator"),
+            self._neb, dataset.n_features, seed=derive_seed(cfg.seed, "generator")
         )
         self.discriminator = _build_discriminator(
             dataset.n_features, seed=derive_seed(cfg.seed, "discriminator")

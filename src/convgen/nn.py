@@ -2,19 +2,20 @@
 
 A Network owns one flat parameter vector, one flat gradient vector and the
 flat Adam moments, all in the network's dtype: `DTYPE` (float32) unless a
-caller asks for another, as `grad_check` does with float64. Each layer's
-weights and gradients are reshaped views into the flat vectors. Inputs,
-targets and upstream gradients are cast to the network's dtype once, where
-they enter `forward`, `backward` and `backward_from`, so a training step
-runs in one dtype from the input to the loss. Forward passes cache
-activations on the layer objects. The one full backward pass between two
-Adam steps writes the gradient views (it does not add to them), and the
-Adam step updates the whole parameter vector at once and zeroes the
-gradients. A training backward pass writes the weight gradients and stops
-at the first layer's; a frozen pass writes none and returns the gradient
-with respect to the network's input (a generator update reads it from the
-frozen discriminator). A convolution computes no input gradient, so a
-network trains it only as its first layer.
+caller asks for another, such as float64 for a finite-difference check.
+Each layer's weights and gradients are reshaped views into the flat
+vectors. Inputs, targets and upstream gradients are cast to the network's
+dtype once, where they enter `forward`, `backward` and `backward_from`, so
+a training step runs in one dtype from the input to the loss. Forward
+passes cache their inputs (and Dense layers their activations) on the
+layer objects. The one full backward pass between two Adam steps writes
+the gradient views (it does not add to them), and the Adam step updates
+the whole parameter vector at once and zeroes the gradients. A training
+backward pass writes the weight gradients and stops at the first layer's;
+a frozen pass writes none and returns the gradient with respect to the
+network's input (a generator update reads it from the frozen
+discriminator). A convolution computes no input gradient, so a network
+trains it only as its first layer.
 
 Both layers' forward passes take leading stack axes: a (S, ..., n) input
 runs S inputs at once, each bitwise as it runs alone, for a network that
@@ -142,11 +143,11 @@ class Conv1D:
     One depthwise kernel per feature column slides along the row axis with
     stride 1, so rows_out = rows_in - kernel_rows + 1; output row j is the
     sum over kernel rows r of x[j + r] * w[r], added up in order of r, plus
-    b. Used to compress a neighborhood batch of rows_in samples down to
-    rows_out, which are emitted flattened to one row.
+    b, with no activation. Used to compress a neighborhood batch of rows_in
+    samples down to rows_out, which are emitted flattened to one row.
     """
 
-    def __init__(self, rows_in: int, rows_out: int, features: int, activation: str,
+    def __init__(self, rows_in: int, rows_out: int, features: int,
                  rng: np.random.Generator) -> None:
         if not 1 <= rows_out < rows_in:
             raise NNError(f"conv1d needs 1 <= rows_out < rows_in, got {rows_out}/{rows_in}")
@@ -157,11 +158,9 @@ class Conv1D:
         limit = np.sqrt(6.0 / (self.kernel_rows + 1))
         self.w = rng.uniform(-limit, limit, size=(self.kernel_rows, features))
         self.b = np.zeros(features)
-        self.activation = activation
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
         self._x = None
-        self._a = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-2:] != (self.rows_in, self.features):
@@ -171,8 +170,7 @@ class Conv1D:
         self._x = x
         z = np.multiply(row_windows(x, self.kernel_rows), self.w).sum(axis=-2)
         z += self.b
-        self._a = activate(self.activation, z)
-        return self._a.reshape(*x.shape[:-2], 1, -1)
+        return z.reshape(*x.shape[:-2], 1, -1)
 
     def backward(self, grad_out: np.ndarray, input_only: bool, input_grad: bool) -> None:
         """Writes the weight gradients; the input gradient is never computed,
@@ -181,7 +179,7 @@ class Conv1D:
             raise NNError("backward before forward on conv1d layer")
         if input_grad:
             raise NNError("conv1d layer computes no input gradient")
-        gz = activation_backward(self.activation, self._a, grad_out.reshape(self._a.shape))
+        gz = grad_out.reshape(self.rows_out, self.features)
         # sum over output rows j, in order, of gz[j] * x[j:j + kernel_rows]
         windows = row_windows(self._x, self.kernel_rows)
         np.add.reduce(windows * gz[:, None, :], axis=0, out=self.gw)
@@ -320,31 +318,3 @@ def dense_network(sizes, activations, seed: int) -> Network:
         for i in range(len(sizes) - 1)
     ]
     return Network(layers)
-
-
-def grad_check(net: Network, kind: str, x: np.ndarray, target: np.ndarray,
-               epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Both are taken on a float64 copy of `net`, which is left untouched.
-    """
-    if epsilon <= 0:
-        raise NNError("epsilon must be positive")
-    net = Network(copy.deepcopy(net.layers), np.float64)
-    pred = net.forward(x)
-    net.backward(kind, pred, target)
-    analytic = net.grads
-
-    worst = 0.0
-    p = net.params
-    for idx in range(p.size):
-        orig = p[idx]
-        p[idx] = orig + epsilon
-        up = loss(kind, net.forward(x), target)[0]
-        p[idx] = orig - epsilon
-        down = loss(kind, net.forward(x), target)[0]
-        p[idx] = orig
-        numeric = (up - down) / (2.0 * epsilon)
-        denom = max(abs(analytic[idx]), abs(numeric), 1e-12)
-        worst = max(worst, abs(analytic[idx] - numeric) / denom)
-    return worst

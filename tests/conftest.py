@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from convgen.data import Dataset
+from convgen.nn import Network, NNError, loss
 
 
 def two_blob_dataset(seed: int = 7, n_majority: int = 60, n_minority: int = 12,
@@ -13,6 +16,34 @@ def two_blob_dataset(seed: int = 7, n_majority: int = 60, n_minority: int = 12,
     features = np.vstack([majority, minority])
     labels = np.array([0] * n_majority + [1] * n_minority)
     return Dataset(features, labels, "toy-blobs")
+
+
+def grad_check(net: Network, kind: str, x: np.ndarray, target: np.ndarray,
+               epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Both are taken on a float64 copy of `net`, which is left untouched.
+    """
+    if epsilon <= 0:
+        raise NNError("epsilon must be positive")
+    net = Network(copy.deepcopy(net.layers), np.float64)
+    pred = net.forward(x)
+    net.backward(kind, pred, target)
+    analytic = net.grads
+
+    worst = 0.0
+    p = net.params
+    for idx in range(p.size):
+        orig = p[idx]
+        p[idx] = orig + epsilon
+        up = loss(kind, net.forward(x), target)[0]
+        p[idx] = orig - epsilon
+        down = loss(kind, net.forward(x), target)[0]
+        p[idx] = orig
+        numeric = (up - down) / (2.0 * epsilon)
+        denom = max(abs(analytic[idx]), abs(numeric), 1e-12)
+        worst = max(worst, abs(analytic[idx] - numeric) / denom)
+    return worst
 
 
 @pytest.fixture

@@ -16,9 +16,8 @@ from convgen import nn
 from convgen.baselines import Gan
 from convgen.bench import (
     BenchmarkConfig,
-    ClassifierSpec,
     DatasetSpec,
-    OversamplerSpec,
+    Spec,
     dump_report,
     oversample_fold,
     run_benchmark,
@@ -29,7 +28,7 @@ from convgen.model import ConvGeNConfig, ConvGeNModel, Generator
 from convgen.pca import pca_project
 from convgen.rng import derive_seed
 
-from conftest import two_blob_dataset
+from conftest import grad_check, two_blob_dataset
 
 
 def verdict(capsys, name: str, ok: bool, extra: str = "") -> None:
@@ -47,10 +46,10 @@ def full_report():
             DatasetSpec("datasets/yeast6.csv", "label", "1", "yeast6"),
         ),
         oversamplers=(
-            OversamplerSpec("repeater", "repeater"),
-            OversamplerSpec("convgen-min-maj", "convgen", {"preset": "min,maj"}),
+            Spec("repeater", "repeater"),
+            Spec("convgen-min-maj", "convgen", {"preset": "min,maj"}),
         ),
-        classifiers=(ClassifierSpec("logreg", "logreg"),),
+        classifiers=(Spec("logreg", "logreg"),),
         n_folds=5,
         n_shuffles=5,
         seed=0,
@@ -92,7 +91,7 @@ def test_gradient_correctness(capsys):
             target = rng.uniform(0.1, 0.9, size=(3, 1))
         else:
             target = rng.normal(size=(3, 1))
-        worst = max(worst, nn.grad_check(net, loss, x, target))
+        worst = max(worst, grad_check(net, loss, x, target))
     elapsed = time.perf_counter() - started
     ok = worst < 1e-4 and elapsed < 10.0
     verdict(capsys, "gradient-correctness", ok,
@@ -134,8 +133,8 @@ def test_simplex_and_hull_invariants(capsys, monkeypatch):
         if np.max(np.abs(c - k.T @ neighborhood)) <= 1e-9:
             recon_ok += 1
     batch_ok = all(
-        b.reconstruction_error(dataset.features[b.source_neighborhood]) <= 1e-9
-        for b in batches
+        np.max(np.abs(b.coefficients.T @ dataset.features[b.source_neighborhood] - b.samples))
+        <= 1e-9 for b in batches
     )
     n_rows = sum(len(b.samples) for b in batches)
 
@@ -189,10 +188,10 @@ def test_protocol_integrity(capsys, full_report):
     dataset = two_blob_dataset(seed=3, n_majority=50, n_minority=10)
     plan = stratified_kfold(dataset, 5, 5, seed=9)
     oversamplers = [
-        OversamplerSpec("repeater", "repeater"),
-        OversamplerSpec("interpolation", "interpolation"),
-        OversamplerSpec("gan", "gan", {"epochs": 10}),
-        OversamplerSpec("convgen", "convgen", {"preset": "5,maj", "neb_epochs": 2}),
+        Spec("repeater", "repeater"),
+        Spec("interpolation", "interpolation"),
+        Spec("gan", "gan", {"epochs": 10}),
+        Spec("convgen", "convgen", {"preset": "5,maj", "neb_epochs": 2}),
     ]
     checked = 0
     for spec in oversamplers:
@@ -296,10 +295,10 @@ def test_determinism(capsys, tmp_path):
     cfg = BenchmarkConfig(
         datasets=(DatasetSpec(str(path), "cls", "1", "toy"),),
         oversamplers=(
-            OversamplerSpec("repeater", "repeater"),
-            OversamplerSpec("convgen", "convgen", {"preset": "5,maj", "neb_epochs": 2}),
+            Spec("repeater", "repeater"),
+            Spec("convgen", "convgen", {"preset": "5,maj", "neb_epochs": 2}),
         ),
-        classifiers=(ClassifierSpec("knn", "knn"), ClassifierSpec("logreg", "logreg")),
+        classifiers=(Spec("knn", "knn"), Spec("logreg", "logreg")),
         n_folds=2,
         n_shuffles=2,
         seed=21,

@@ -159,15 +159,25 @@ class TestGan:
 
 
 class TestAlphaScaling:
-    """Gan.train divides the rows by alpha = max(1, 1.1 * largest |x|)."""
+    """Gan.train divides the rows by alpha = 1.1 * largest |x|, or by 1 when
+    every value is 0."""
 
     def test_alpha_for_max_entry_two(self):
         feats = np.array([[2.0, -1.0], [0.5, 0.0]])
         assert Gan(2, epochs=0).train(feats).alpha == pytest.approx(2.2)
 
-    def test_alpha_floors_at_one(self):
+    def test_alpha_is_one_only_for_all_zero_rows(self):
         feats = np.array([[0.9, -0.9], [0.1, 0.0]])
-        assert Gan(2, epochs=0).train(feats).alpha == 1.0
+        assert Gan(2, epochs=0).train(feats).alpha == pytest.approx(0.99)
+        assert Gan(2, epochs=0).train(np.zeros((3, 2))).alpha == 1.0
+
+    def test_tiny_rows_generate_within_their_scale(self):
+        feats = np.random.default_rng(5).normal(size=(12, 3)) * 1e-8
+        largest = float(np.abs(feats).max())
+        gan = Gan(3, epochs=20, seed=1).train(feats)
+        rows = gan.generate(50)
+        assert gan.alpha <= 1.1 * largest
+        assert np.all(np.abs(rows) <= gan.alpha)
 
     def test_scaled_entries_fit_softsign_range(self):
         feats = np.random.default_rng(4).normal(scale=7.0, size=(30, 5))

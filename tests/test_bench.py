@@ -8,9 +8,8 @@ import pytest
 from convgen.bench import (
     SPEC_KEYS,
     BenchmarkConfig,
-    ClassifierSpec,
     DatasetSpec,
-    OversamplerSpec,
+    Spec,
     _check_keys,
     _worker_pool,
     dump_report,
@@ -83,16 +82,16 @@ class TestConfig:
             "classifiers": ["knn"],
         }))
         cfg = BenchmarkConfig.from_json(cfg_path)
-        assert cfg.oversamplers == (OversamplerSpec("repeater", "repeater"),
-                                    OversamplerSpec("interpolation", "interpolation", {"k": 3}))
-        assert cfg.classifiers == (ClassifierSpec("knn", "knn"),)
+        assert cfg.oversamplers == (Spec("repeater", "repeater"),
+                                    Spec("interpolation", "interpolation", {"k": 3}))
+        assert cfg.classifiers == (Spec("knn", "knn"),)
 
     def test_duplicate_names_rejected(self, toy_csv):
-        rep, knn = OversamplerSpec("rep", "repeater"), ClassifierSpec("knn", "knn")
+        rep, knn = Spec("rep", "repeater"), Spec("knn", "knn")
         with pytest.raises(DataError, match="unique"):
-            toy_config(toy_csv, [rep, OversamplerSpec("rep", "interpolation")], [knn])
+            toy_config(toy_csv, [rep, Spec("rep", "interpolation")], [knn])
         with pytest.raises(DataError, match="unique"):
-            toy_config(toy_csv, [rep], [knn, ClassifierSpec("knn", "logreg")])
+            toy_config(toy_csv, [rep], [knn, Spec("knn", "logreg")])
 
     def test_readme_config_block_passes_the_key_gate(self, tmp_path):
         with open("README.md", encoding="utf-8") as fh:
@@ -135,6 +134,46 @@ class TestConfig:
         with pytest.raises(DataError, match=f"{key} must be an integer >= "):
             BenchmarkConfig.from_json(cfg_path)
 
+    @pytest.mark.parametrize("raw,pattern", [
+        ({"datasets": [{"path": "d.csv", "minority_label": "1"}],
+          "oversamplers": ["repeater"], "classifiers": ["knn"]},
+         r"datasets\[0\] lacks key 'label_column'"),
+        ([{"path": "d.csv", "label_column": "label", "minority_label": "1"}],
+         "config is a JSON list, not an object"),
+        ({"datasets": [{"path": "d.csv", "label_column": "label", "minority_label": "1"}],
+          "oversamplers": ["repeater", {"name": "ip", "k": 3}], "classifiers": ["knn"]},
+         r"oversamplers\[1\] lacks key 'kind'"),
+        ({"datasets": ["d.csv"], "oversamplers": ["repeater"], "classifiers": ["knn"]},
+         r"datasets\[0\] is malformed: 'd.csv'"),
+        ({"datasets": [{"path": "d.csv", "label_column": "label", "minority_label": "1"}],
+          "oversamplers": ["repeater"], "classifiers": ["knn", 3]},
+         r"classifiers\[1\] is malformed: 3"),
+        ('{"datasets": [', "config is not JSON: "),
+    ], ids=["dataset-without-label-column", "top-level-list", "oversampler-without-kind",
+            "dataset-not-an-object", "classifier-not-an-object-or-string", "not-json"])
+    def test_malformed_file_rejected_naming_the_file_and_entry(self, tmp_path, raw, pattern):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
+        with pytest.raises(DataError, match=re.escape(str(cfg_path)) + ": " + pattern):
+            BenchmarkConfig.from_json(cfg_path)
+
+    @pytest.mark.parametrize("key", ["datasets", "oversamplers", "classifiers"])
+    def test_empty_list_rejected(self, tmp_path, toy_csv, key):
+        raw = {
+            "datasets": [{"path": toy_csv, "label_column": "cls", "minority_label": "pos"}],
+            "oversamplers": ["repeater"],
+            "classifiers": ["knn"],
+        }
+        raw[key] = []
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(DataError, match=f"cfg.json: {key} must list at least one entry"):
+            BenchmarkConfig.from_json(cfg_path)
+        del raw[key]
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(DataError, match=f"{key} must list at least one entry"):
+            BenchmarkConfig.from_json(cfg_path)
+
 
 class TestOversampleFold:
     def test_repeater_balance_and_provenance(self, toy_dataset):
@@ -142,7 +181,7 @@ class TestOversampleFold:
         train_ids = plan.train_indices(0, 0)
         train = toy_dataset.subset(train_ids)
         n_syn = train.majority_count - train.minority_count
-        res = oversample_fold(OversamplerSpec("rep", "repeater"), train, train_ids, n_syn, 1)
+        res = oversample_fold(Spec("rep", "repeater"), train, train_ids, n_syn, 1)
         assert res.synthetic.shape == (n_syn, 2)
         assert set(res.provenance) <= set(train_ids)
         minority_rows = train.features[train.minority_indices]
@@ -152,7 +191,7 @@ class TestOversampleFold:
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
         train_ids = plan.train_indices(0, 0)
         train = toy_dataset.subset(train_ids)
-        res = oversample_fold(OversamplerSpec("ip", "interpolation"), train, train_ids, 10, 1)
+        res = oversample_fold(Spec("ip", "interpolation"), train, train_ids, 10, 1)
         minority_ids = train_ids[train.minority_indices]
         assert set(res.provenance) <= set(minority_ids)
 
@@ -160,7 +199,7 @@ class TestOversampleFold:
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
         train_ids = plan.train_indices(0, 0)
         train = toy_dataset.subset(train_ids)
-        spec = OversamplerSpec("cg", "convgen", {"preset": "5,maj", "neb_epochs": 2})
+        spec = Spec("cg", "convgen", {"preset": "5,maj", "neb_epochs": 2})
         res = oversample_fold(spec, train, train_ids, 12, seed=3)
         assert res.synthetic.shape == (12, 2)
         assert set(res.provenance) <= set(train_ids)
@@ -179,7 +218,7 @@ class TestOversampleFold:
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
         train_ids = plan.train_indices(0, 0)
         with pytest.raises(DataError, match=f"unknown key.*'{key}'"):
-            oversample_fold(OversamplerSpec("o", kind, params),
+            oversample_fold(Spec("o", kind, params),
                             toy_dataset.subset(train_ids), train_ids, 4, seed=3)
 
     @pytest.mark.parametrize("kind,key,value", [
@@ -196,7 +235,7 @@ class TestOversampleFold:
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
         train_ids = plan.train_indices(0, 0)
         with pytest.raises(DataError, match=f"{key} must be an integer >= 1, got {value!r}"):
-            oversample_fold(OversamplerSpec("o", kind, {key: value}),
+            oversample_fold(Spec("o", kind, {key: value}),
                             toy_dataset.subset(train_ids), train_ids, 4, seed=3)
 
     @pytest.mark.parametrize("key,value", [
@@ -218,7 +257,7 @@ class TestOversampleFold:
         pattern = (f"unknown key.*'{key}'" if key == "k_prime"
                    else re.escape(key) + ".*" + re.escape(repr(value)))
         with pytest.raises(DataError, match=pattern):
-            oversample_fold(OversamplerSpec("cg", "convgen", {key: value}),
+            oversample_fold(Spec("cg", "convgen", {key: value}),
                             toy_dataset.subset(train_ids), train_ids, 4, seed=3)
 
     def test_from_file_cycles_rows(self, tmp_path, toy_dataset):
@@ -229,7 +268,7 @@ class TestOversampleFold:
         train_ids = plan.train_indices(0, 0)
         train = toy_dataset.subset(train_ids)
         res = oversample_fold(
-            OversamplerSpec("ff", "from-file", {"path": str(path)}), train, train_ids, 5, 1
+            Spec("ff", "from-file", {"path": str(path)}), train, train_ids, 5, 1
         )
         np.testing.assert_allclose(res.synthetic, rows[np.arange(5) % 3])
         assert res.provenance is None
@@ -238,7 +277,7 @@ class TestOversampleFold:
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
         train_ids = plan.train_indices(0, 0)
         with pytest.raises(DataError):
-            oversample_fold(OversamplerSpec("x", "smote"),
+            oversample_fold(Spec("x", "smote"),
                             toy_dataset.subset(train_ids), train_ids, 4, 1)
 
 
@@ -264,9 +303,9 @@ class TestDegenerateData:
         "two-row-minority", "identical-minority", "constant-column", "scale-1e12",
     ])
     @pytest.mark.parametrize("spec", [
-        OversamplerSpec("cg", "convgen", {"preset": "5,maj", "neb_epochs": 2}),
-        OversamplerSpec("cg", "convgen", {"preset": "min,prox", "neb_epochs": 2}),
-        OversamplerSpec("gan", "gan", {"epochs": 20}),
+        Spec("cg", "convgen", {"preset": "5,maj", "neb_epochs": 2}),
+        Spec("cg", "convgen", {"preset": "min,prox", "neb_epochs": 2}),
+        Spec("gan", "gan", {"epochs": 20}),
     ], ids=["convgen-5-maj", "convgen-min-prox", "gan"])
     def test_trains_to_finite_output(self, case, spec):
         train = degenerate_dataset(case)
@@ -285,7 +324,7 @@ class TestDegenerateData:
 
 class TestMakeClassifier:
     def test_allowed_key_is_used(self):
-        clf = make_classifier(ClassifierSpec("knn3", "knn", {"k": 3}), FoldResult(None, None),
+        clf = make_classifier(Spec("knn3", "knn", {"k": 3}), FoldResult(None, None),
                               "toy_s0_f0")
         assert clf.k == 3
 
@@ -298,25 +337,25 @@ class TestMakeClassifier:
     def test_unknown_key_rejected(self, kind, params, keys):
         fold_result = FoldResult(None, None, model=object())
         with pytest.raises(DataError, match="unknown key") as info:
-            make_classifier(ClassifierSpec("c", kind, params), fold_result, "toy_s0_f0")
+            make_classifier(Spec("c", kind, params), fold_result, "toy_s0_f0")
         assert str(keys) in str(info.value)
 
 
     @pytest.mark.parametrize("value", ["5", 2.7, 0, -3, True])
     def test_knn_k_must_be_positive_int(self, value):
         with pytest.raises(DataError, match=f"k must be an integer >= 1, got {value!r}"):
-            make_classifier(ClassifierSpec("knn", "knn", {"k": value}), FoldResult(None, None),
+            make_classifier(Spec("knn", "knn", {"k": value}), FoldResult(None, None),
                             "toy_s0_f0")
 
     def test_numpy_integer_k_accepted(self):
-        spec = ClassifierSpec("knn", "knn", {"k": np.int64(3)})
+        spec = Spec("knn", "knn", {"k": np.int64(3)})
         assert make_classifier(spec, FoldResult(None, None), "toy_s0_f0").k == 3
 
 
 class TestRunFold:
     def test_matches_hand_driven_pipeline(self, toy_csv):
-        cfg = toy_config(toy_csv, [OversamplerSpec("rep", "repeater")],
-                         [ClassifierSpec("knn", "knn")], n_folds=2, n_shuffles=1)
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
+                         [Spec("knn", "knn")], n_folds=2, n_shuffles=1)
         dataset = cfg.datasets[0].load()
         plan = stratified_kfold(dataset, 2, 1, derive_seed(cfg.seed, "folds", "toy"))
         scores = run_fold(cfg, dataset, plan, cfg.oversamplers[0], shuffle=0, fold=1)
@@ -340,8 +379,8 @@ class TestRunFold:
     def test_leakage_guard_trips(self, toy_csv, monkeypatch):
         import convgen.bench as bench
 
-        cfg = toy_config(toy_csv, [OversamplerSpec("rep", "repeater")],
-                         [ClassifierSpec("knn", "knn")])
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
+                         [Spec("knn", "knn")])
         dataset = cfg.datasets[0].load()
         plan = stratified_kfold(dataset, 2, 1, seed=1)
         test_ids = plan.test_indices(0, 0)
@@ -356,8 +395,8 @@ class TestRunFold:
             run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
 
     def test_doc_without_convgen_fails_per_cell(self, toy_csv):
-        cfg = toy_config(toy_csv, [OversamplerSpec("rep", "repeater")],
-                         [ClassifierSpec("doc", "doc"), ClassifierSpec("knn", "knn")])
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
+                         [Spec("doc", "doc"), Spec("knn", "knn")])
         dataset = cfg.datasets[0].load()
         plan = stratified_kfold(dataset, 2, 1, seed=1)
         scores = run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
@@ -366,9 +405,8 @@ class TestRunFold:
 
     @staticmethod
     def convgen_doc_config(toy_csv):
-        return toy_config(toy_csv, [OversamplerSpec("cg", "convgen",
-                                                    {"preset": "5,maj", "neb_epochs": 1})],
-                          [ClassifierSpec("logreg", "logreg"), ClassifierSpec("doc", "doc")],
+        return toy_config(toy_csv, [Spec("cg", "convgen", {"preset": "5,maj", "neb_epochs": 1})],
+                          [Spec("logreg", "logreg"), Spec("doc", "doc")],
                           n_folds=2, n_shuffles=1)
 
     def test_convgen_generates_once_per_fold_with_doc(self, toy_csv, monkeypatch):
@@ -410,8 +448,8 @@ class TestRunFold:
         ext_dir = tmp_path / "preds"
         ext_dir.mkdir()
         cfg = toy_config(
-            toy_csv, [OversamplerSpec("rep", "repeater")],
-            [ClassifierSpec("ext", "external", {"dir": str(ext_dir)})],
+            toy_csv, [Spec("rep", "repeater")],
+            [Spec("ext", "external", {"dir": str(ext_dir)})],
             n_folds=2, n_shuffles=1,
         )
         dataset = cfg.datasets[0].load()
@@ -425,8 +463,8 @@ class TestRunFold:
 
 
     def test_external_without_dir_fails_its_cell_with_data_error(self, toy_csv):
-        cfg = toy_config(toy_csv, [OversamplerSpec("rep", "repeater")],
-                         [ClassifierSpec("ext", "external"), ClassifierSpec("knn", "knn")])
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
+                         [Spec("ext", "external"), Spec("knn", "knn")])
         dataset = cfg.datasets[0].load()
         plan = stratified_kfold(dataset, 2, 1, seed=1)
         scores = run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
@@ -439,8 +477,8 @@ class TestRunBenchmark:
     def test_grid_shape_and_means(self, toy_csv):
         cfg = toy_config(
             toy_csv,
-            [OversamplerSpec("rep", "repeater"), OversamplerSpec("ip", "interpolation")],
-            [ClassifierSpec("knn", "knn"), ClassifierSpec("lr", "logreg")],
+            [Spec("rep", "repeater"), Spec("ip", "interpolation")],
+            [Spec("knn", "knn"), Spec("lr", "logreg")],
             n_folds=2, n_shuffles=2,
         )
         report, timings = run_benchmark(cfg)
@@ -455,24 +493,24 @@ class TestRunBenchmark:
         assert len(timings["cells"]) == len(report["cells"])
 
     def test_raw_dump_is_deterministic(self, toy_csv):
-        cfg = toy_config(toy_csv, [OversamplerSpec("rep", "repeater")],
-                         [ClassifierSpec("knn", "knn")])
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
+                         [Spec("knn", "knn")])
         first = dump_report(run_benchmark(cfg)[0])
         second = dump_report(run_benchmark(cfg)[0])
         assert first == second
 
     def test_seed_changes_folds(self, toy_csv):
-        cfg_a = toy_config(toy_csv, [OversamplerSpec("rep", "repeater")],
-                           [ClassifierSpec("knn", "knn")], seed=1)
-        cfg_b = toy_config(toy_csv, [OversamplerSpec("rep", "repeater")],
-                           [ClassifierSpec("knn", "knn")], seed=2)
+        cfg_a = toy_config(toy_csv, [Spec("rep", "repeater")],
+                           [Spec("knn", "knn")], seed=1)
+        cfg_b = toy_config(toy_csv, [Spec("rep", "repeater")],
+                           [Spec("knn", "knn")], seed=2)
         rep_a = run_benchmark(cfg_a)[0]
         rep_b = run_benchmark(cfg_b)[0]
         assert rep_a["fold_indices"] != rep_b["fold_indices"]
 
     def test_parallel_matches_serial(self, toy_csv):
-        cfg = toy_config(toy_csv, [OversamplerSpec("rep", "repeater")],
-                         [ClassifierSpec("knn", "knn")])
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
+                         [Spec("knn", "knn")])
         serial = dump_report(run_benchmark(cfg, jobs=1)[0])
         parallel = dump_report(run_benchmark(cfg, jobs=2)[0])
         assert serial == parallel
@@ -493,8 +531,8 @@ class TestRendering:
     def small_report(self, toy_csv):
         cfg = toy_config(
             toy_csv,
-            [OversamplerSpec("rep", "repeater"), OversamplerSpec("ip", "interpolation")],
-            [ClassifierSpec("knn", "knn")],
+            [Spec("rep", "repeater"), Spec("ip", "interpolation")],
+            [Spec("knn", "knn")],
         )
         return run_benchmark(cfg)
 

@@ -85,6 +85,19 @@ class TestRunCommand:
         assert result.exit_code == 0, result.output
         assert seen == [expected]
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, jobs):
+        def no_run(cfg, jobs, progress):
+            raise AssertionError("the benchmark ran")
+
+        monkeypatch.setattr(cli, "run_benchmark", no_run)
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        result = CliRunner().invoke(main, ["run", "--config", str(make_config(tmp_path, csv_path)),
+                                           "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "--jobs" in result.output and ">=1" in result.output
+
 
 class TestPcaCommand:
     def test_projection_csv(self, tmp_path):

@@ -61,9 +61,10 @@ class TestConfig:
 
 class TestGeneratorSizeGuard:
     def test_param_count_matches_the_built_network(self):
-        for neb, f, k_prime in [(6, 4, 3), (5, 8, 1), (34, 8, 17)]:
-            gen = Generator(neb, f, k_prime, seed=0)
-            assert Generator.param_count(neb, f, k_prime) == gen.net.params.size
+        for neb, f, k_prime in [(6, 4, 3), (5, 8, 3), (34, 8, 17), (2, 1, 1)]:
+            gen = Generator(neb, f, seed=0)
+            assert gen.k_prime == k_prime
+            assert Generator.param_count(neb, f) == gen.net.params.size
 
     def test_neb_min_on_a_large_minority_fails_before_allocating(self, monkeypatch):
         import convgen.model as model_mod
@@ -89,12 +90,12 @@ class TestGeneratorSizeGuard:
     def test_bundled_datasets_stay_far_below_the_limit(self, path):
         ds = load_csv(path, "label", "1")
         neb = ds.minority_count  # neb="min" on the whole dataset
-        assert Generator.param_count(neb, ds.n_features, (neb + 1) // 2) < MAX_GENERATOR_PARAMS / 50
+        assert Generator.param_count(neb, ds.n_features) < MAX_GENERATOR_PARAMS / 50
 
 
 class TestGeneratorForward:
     def test_zero_logits_give_uniform_coefficients_and_centroid_rows(self):
-        gen = Generator(neb=4, n_features=3, k_prime=2, seed=0)
+        gen = Generator(neb=4, n_features=3, seed=0)
         for layer in gen.net.layers:
             for _, p, _ in layer.params():
                 p[...] = 0.0  # forces all-equal (zero) logits
@@ -106,7 +107,7 @@ class TestGeneratorForward:
             assert np.allclose(row, centroid)
 
     def test_one_hot_columns_copy_neighborhood_rows(self):
-        gen = Generator(neb=3, n_features=2, k_prime=1, seed=0)
+        gen = Generator(neb=3, n_features=2, seed=0)
         for layer in gen.net.layers:
             for _, p, _ in layer.params():
                 p[...] = 0.0
@@ -120,7 +121,7 @@ class TestGeneratorForward:
         assert np.allclose(c, n)
 
     def test_random_weights_satisfy_simplex_and_hull(self):
-        gen = Generator(neb=6, n_features=4, k_prime=3, seed=5)
+        gen = Generator(neb=6, n_features=4, seed=5)
         rng = np.random.default_rng(6)
         for _ in range(20):
             n = rng.normal(size=(6, 4))
@@ -131,8 +132,9 @@ class TestGeneratorForward:
             assert np.max(np.abs(k.T @ n - c)) < 1e-9
 
     def test_dead_column_is_uniform_and_gets_no_gradient(self):
-        neb, f, k_prime, dead = 4, 3, 2, 1
-        gen = Generator(neb, f, k_prime, seed=0)
+        neb, f, dead = 4, 3, 1
+        gen = Generator(neb, f, seed=0)
+        k_prime = gen.k_prime
         dense = gen.net.layers[-1]
         w = dense.w.reshape(k_prime * f, neb, neb)
         b = dense.b.reshape(neb, neb)
@@ -152,7 +154,7 @@ class TestGeneratorForward:
         assert np.any(gw[:, :, live] != 0.0) and np.any(gb[:, live] != 0.0)
 
     def test_forward_stack_leaves_nothing_to_backpropagate(self):
-        gen = Generator(neb=4, n_features=3, k_prime=2, seed=0)
+        gen = Generator(neb=4, n_features=3, seed=0)
         stack = np.random.default_rng(1).normal(size=(2, 4, 3))
         gen.forward(stack[0])
         gen.forward_stack(stack)
@@ -160,7 +162,7 @@ class TestGeneratorForward:
             gen.backward_from_dk(np.ones((4, 4)))
 
     def test_wrong_neighborhood_shape(self):
-        gen = Generator(neb=4, n_features=3, k_prime=2, seed=0)
+        gen = Generator(neb=4, n_features=3, seed=0)
         with pytest.raises(DataError, match="neighborhood"):
             gen.forward(np.zeros((5, 3)))
 
@@ -194,10 +196,9 @@ class TestSimplexHullProperty:
     @settings(max_examples=30, deadline=None)
     @given(neb=st.integers(2, 12), f=st.integers(1, 6), data=st.data())
     def test_stacked_and_single_forward_keep_rows_in_the_hull(self, neb, f, data):
-        k_prime = data.draw(st.integers(1, neb - 1))
         stack = data.draw(st.integers(1, 5))
         r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        gen = Generator(neb, f, k_prime, seed=int(r.integers(2**31)))
+        gen = Generator(neb, f, seed=int(r.integers(2**31)))
         gen.net.params[...] = r.normal(scale=data.draw(st.sampled_from([0.1, 1.0, 10.0])),
                                        size=gen.net.params.size)
         dense = gen.net.layers[-1]
@@ -415,7 +416,7 @@ class TestGenerate:
         model, ds = fitted_toy_model(epochs=3)
         for batch in model.generate(30):
             rows = ds.features[batch.source_neighborhood]
-            assert batch.reconstruction_error(rows) < 1e-9
+            assert np.max(np.abs(batch.coefficients.T @ rows - batch.samples)) < 1e-9
 
     def test_batch_mean_matches_average_coefficients(self):
         model, ds = fitted_toy_model(epochs=2)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convgen import nn
-from convgen.nn import Conv1D, Dense, Network, NNError, dense_network, grad_check
+from convgen.nn import Conv1D, Dense, Network, NNError, dense_network
+
+from conftest import grad_check
 
 
 def single_dense(n_in, n_out, activation, weights=None, bias=None, seed=0):
@@ -209,7 +211,7 @@ class TestGradCheck:
     def test_conv_dense_stack(self):
         rng = np.random.default_rng(15)
         net = Network([
-            Conv1D(6, 3, 4, "identity", rng),
+            Conv1D(6, 3, 4, rng),
             Dense(12, 5, "relu", rng),
             Dense(5, 2, "softmax", rng),
         ])
@@ -254,7 +256,7 @@ def folded_adam_step(params, grads, m, v, t, lr):
 def conv_dense_case(seed=21):
     """A generator-shaped stack, input rows and an MSE target."""
     rng = np.random.default_rng(seed)
-    net = Network([Conv1D(6, 3, 4, "identity", rng), Dense(12, 36, "identity", rng)])
+    net = Network([Conv1D(6, 3, 4, rng), Dense(12, 36, "identity", rng)])
     return net, lambda r: (r.normal(size=(6, 4)), r.normal(size=(1, 36))), "mse"
 
 
@@ -327,7 +329,9 @@ class TestFlatEngine:
             arrays = [owner.params, owner.grads, owner._adam_m, owner._adam_v]
             arrays += [getattr(layer, name) for layer in layers for name in ("w", "b", "gw", "gb")]
             assert all(a.dtype == np.float32 for a in arrays)
-        outputs = [pred] + [layer._a for layer in net.layers if layer.params()]
+        # each layer's input is the one before's output; a convolution keeps no other
+        outputs = [pred] + [layer._x for layer in net.layers]
+        outputs += [layer._a for layer in net.layers if isinstance(layer, Dense)]
         outputs += [] if d_input is None else [d_input]
         assert all(a.dtype == np.float32 for a in outputs)
 
@@ -419,7 +423,7 @@ def accumulating_backward(net, kind, predicted, target):
             layer.gw += layer._x.T @ gz
             grad = gz @ layer.w.T
         else:
-            gz = nn.activation_backward(layer.activation, layer._a, grad.reshape(layer._a.shape))
+            gz = grad.reshape(layer.rows_out, layer.features)
             for j in range(layer.rows_out):
                 layer.gw += gz[j] * layer._x[j:j + layer.kernel_rows]
             grad = None
@@ -459,7 +463,7 @@ class TestLeanEngine:
         kernel_rows = data.draw(st.integers(2, rows_in))
         stack = data.draw(st.integers(1, 4))
         r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        layer = Network([Conv1D(rows_in, rows_in - kernel_rows + 1, f, "identity", r)]).layers[0]
+        layer = Network([Conv1D(rows_in, rows_in - kernel_rows + 1, f, r)]).layers[0]
         x = r.normal(size=(stack, rows_in, f)).astype(np.float32)
         w = layer.w[...] = r.normal(size=(kernel_rows, f)).astype(np.float32)
         b = layer.b[...] = r.normal(size=f).astype(np.float32)
@@ -513,7 +517,7 @@ class TestLeanEngine:
                              [(6, 3, 4), (33, 17, 8), (5, 3, 1), (21, 11, 10)])
     def test_conv_backward_matches_the_per_row_loops(self, rows_in, rows_out, f):
         rng = np.random.default_rng(7)
-        net = Network([Conv1D(rows_in, rows_out, f, "identity", rng)])
+        net = Network([Conv1D(rows_in, rows_out, f, rng)])
         twin = net.clone()
         x, target = rng.normal(size=(rows_in, f)), rng.normal(size=(1, rows_out * f))
         value, _ = accumulating_backward(twin, "mse", twin.forward(x), target)
@@ -533,7 +537,7 @@ class TestStackedInputs:
             net.forward(np.ones(3))
 
     def test_conv_rejects_other_trailing_shapes(self):
-        net = Network([Conv1D(6, 3, 4, "identity", np.random.default_rng(0))])
+        net = Network([Conv1D(6, 3, 4, np.random.default_rng(0))])
         for x in (np.ones((2, 5, 4)), np.ones((6, 3)), np.ones(4)):
             with pytest.raises(NNError, match="layer 0: conv1d layer expects"):
                 net.forward(x)

@@ -40,7 +40,7 @@ def test_every_target_resolves(spans):
 
 @pytest.mark.parametrize("build", [
     lambda: dense_network([3, 5, 2], ["relu", "softmax"], seed=0),
-    lambda: Generator(neb=5, n_features=3, k_prime=3, seed=0).net,
+    lambda: Generator(neb=5, n_features=3, seed=0).net,
 ], ids=["dense", "generator"])
 def test_adam_hook_counts_every_parameter(spans, build):
     net = build()
