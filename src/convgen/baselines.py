@@ -122,18 +122,18 @@ class Gan:
 
 def load_synthetic_csv(path, n_features: int) -> np.ndarray:
     """Read pre-generated synthetic minority rows (no label column); a first
-    line with a non-numeric cell is a header."""
+    non-blank line with a non-numeric cell is a header."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")
 
     rows = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in lines:
         try:
             row = [float(c) for c in line.split(",")]
         except ValueError:
-            if lineno == 1:
+            if lineno == lines[0][0]:
                 continue  # the header
             raise DataError(f"{path}:{lineno}: non-numeric cell") from None
         if len(row) != n_features:

@@ -51,8 +51,41 @@ class Spec:
     """One oversampler or classifier entry; `params` are its other keys."""
 
     name: str
-    kind: str  # a key of SPEC_KEYS
+    kind: str  # a kind in SPEC_KEYS
     params: dict = field(default_factory=dict)
+
+
+# The kinds each config list takes, and the keys each kind reads from its spec.
+SPEC_KEYS = {
+    "oversamplers": {
+        "repeater": (), "interpolation": ("k",), "gan": ("epochs",), "from-file": ("path",),
+        "convgen": ("preset", *(f.name for f in fields(ConvGeNConfig) if f.name != "seed")),
+    },
+    "classifiers": {"knn": ("k",), "logreg": (), "doc": (), "external": ("dir",)},
+}
+
+
+def _check_spec(kinds: dict, spec: Spec) -> None:
+    """Refuse an entry whose kind is not in `kinds` or cannot run its keys."""
+    if spec.kind not in kinds:
+        raise DataError(f"unknown kind; choose from {sorted(kinds)}")
+    unknown = sorted(set(spec.params) - set(kinds[spec.kind]))
+    if unknown:
+        raise DataError(f"unknown key(s) {unknown}")
+    for key, what in (("path", "a synthetic rows file"), ("dir", "a predictions directory")):
+        if key in kinds[spec.kind] and key not in spec.params:
+            raise DataError(f"needs {what}, key {key!r}")
+    for key in sorted({"k", "epochs"}.intersection(spec.params)):
+        require_int(key, spec.params[key], 1)
+    if spec.kind == "convgen":
+        _convgen_config(spec.params, seed=0)
+
+
+def _convgen_config(params: dict, seed: int) -> ConvGeNConfig:
+    """A convgen spec's settings: its preset (the defaults without one) under its knobs."""
+    knobs = {key: value for key, value in params.items() if key != "preset"}
+    base = ConvGeNConfig.preset(params["preset"]) if params.get("preset") else ConvGeNConfig()
+    return replace(base, seed=seed, **knobs)
 
 
 def _spec(entry) -> Spec:
@@ -101,6 +134,12 @@ class BenchmarkConfig:
                 raise DataError(f"{key} must list at least one entry")
             if len(set(names)) != len(names):
                 raise DataError(f"names must be unique within a config list, got {names}")
+        for key in ("oversamplers", "classifiers"):
+            for spec in getattr(self, key):
+                try:
+                    _check_spec(SPEC_KEYS[key], spec)
+                except DataError as exc:
+                    raise DataError(f"{spec.kind} {spec.name!r} in {key}: {exc}") from None
 
     @staticmethod
     def from_json(path, seed_override: int | None = None) -> "BenchmarkConfig":
@@ -134,25 +173,6 @@ class FoldResult:
     model: ConvGeNModel | None = None  # the fitted ConvGeN model, for DoC
 
 
-# The keys each kind reads from its spec; an unknown kind fails on its own.
-SPEC_KEYS = {
-    "repeater": (), "interpolation": ("k",), "gan": ("epochs",), "from-file": ("path",),
-    "convgen": ("preset", *(f.name for f in fields(ConvGeNConfig) if f.name != "seed")),
-    "knn": ("k",), "logreg": (), "doc": (), "external": ("dir",),
-}
-
-
-def _check_keys(spec: Spec) -> None:
-    unknown = sorted(set(spec.params) - set(SPEC_KEYS.get(spec.kind, spec.params)))
-    if unknown:
-        raise DataError(f"{spec.kind} {spec.name!r}: unknown key(s) {unknown}")
-
-
-def _positive_int(spec: Spec, key: str, default: int) -> int:
-    """The spec's `key` value, which must be an integer >= 1 (not a bool)."""
-    return require_int(f"{spec.kind} {spec.name!r}: {key}", spec.params.get(key, default), 1)
-
-
 def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
                     n_synthetic: int, seed: int) -> FoldResult:
     """Train the configured oversampler on the fold and emit synthetic rows.
@@ -160,7 +180,6 @@ def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
     `train_ids` maps the fold-local rows back to original dataset row ids
     so provenance can be audited against the held-out fold.
     """
-    _check_keys(spec)
     minority_rows = train.features[train.minority_indices]
     minority_ids = train_ids[train.minority_indices]
 
@@ -172,20 +191,17 @@ def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
     if spec.kind == "interpolation":
         rng = np.random.default_rng(seed)
         synthetic, pairs = interpolation_sample(
-            minority_rows, _positive_int(spec, "k", 5), n_synthetic, rng
+            minority_rows, spec.params.get("k", 5), n_synthetic, rng
         )
         provenance = np.unique(minority_ids[pairs.reshape(-1)]) if len(pairs) else minority_ids[:0]
         return FoldResult(synthetic, provenance)
 
     if spec.kind == "gan":
-        gan = Gan(train.n_features, _positive_int(spec, "epochs", 300), seed).train(minority_rows)
+        gan = Gan(train.n_features, spec.params.get("epochs", 300), seed).train(minority_rows)
         return FoldResult(gan.generate(n_synthetic), minority_ids.copy())
 
     if spec.kind == "convgen":
-        params = dict(spec.params)
-        preset = params.pop("preset", None)
-        base = ConvGeNConfig.preset(preset) if preset else ConvGeNConfig()
-        model = ConvGeNModel(replace(base, seed=seed, **params)).fit(train)
+        model = ConvGeNModel(_convgen_config(spec.params, seed)).fit(train)
         batches = model.generate(n_synthetic)
         if batches:
             synthetic = np.vstack([b.samples for b in batches])
@@ -205,9 +221,8 @@ def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
 
 
 def make_classifier(spec: Spec, fold_result: FoldResult, fold_name: str):
-    _check_keys(spec)
     if spec.kind == "knn":
-        return KNNClassifier(k=_positive_int(spec, "k", 5))
+        return KNNClassifier(k=spec.params.get("k", 5))
     if spec.kind == "logreg":
         return LogisticRegressionClassifier()
     if spec.kind == "doc":
@@ -215,8 +230,6 @@ def make_classifier(spec: Spec, fold_result: FoldResult, fold_name: str):
             raise DataError("the doc classifier requires the convgen oversampler")
         return DiscriminatorClassifier(fold_result.model)
     if spec.kind == "external":
-        if "dir" not in spec.params:
-            raise DataError("external classifier needs a predictions directory")
         return ExternalPredictions(os.path.join(spec.params["dir"], f"{fold_name}.csv"))
     raise DataError(f"unknown classifier kind {spec.kind!r}")
 

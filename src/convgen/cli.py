@@ -16,7 +16,7 @@ from .bench import (
     report_to_markdown,
     run_benchmark,
 )
-from .data import load_csv
+from .data import DataError, load_csv
 from .baselines import load_synthetic_csv
 from .pca import pca_project
 
@@ -39,13 +39,15 @@ def main() -> None:
               help="Parallel worker processes.")
 def run(config_path, out_dir, seed, jobs) -> None:
     """Run the full cross-validated benchmark grid."""
-    cfg = BenchmarkConfig.from_json(config_path, seed_override=seed)
-
     def progress(result):
         ds, ovs, shuffle, _, seconds = result
         click.echo(f"  {ds} / {ovs} / shuffle {shuffle}: {seconds:.1f}s")
 
-    report, timings = run_benchmark(cfg, jobs=jobs, progress=progress)
+    try:
+        cfg = BenchmarkConfig.from_json(config_path, seed_override=seed)
+        report, timings = run_benchmark(cfg, jobs=jobs, progress=progress)
+    except DataError as exc:  # a bad config or dataset file: one line, exit 2
+        raise click.UsageError(str(exc)) from None
     paths = emit_report(report, timings, out_dir)
     failed = [c for c in report["cells"] if c["status"] != "ok"]
     click.echo(f"wrote {paths['raw']}")

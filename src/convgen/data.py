@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SplitMix64, derive_seed
+from .rng import derive_seed, shuffle
 
 
 class DataError(ValueError):
@@ -148,10 +148,10 @@ def stratified_kfold(dataset: Dataset, n_folds: int, n_shuffles: int, seed: int)
         )
     assignments = np.empty((n_shuffles, dataset.n_samples), dtype=int)
     for s in range(n_shuffles):
-        rng = SplitMix64(derive_seed(seed, "fold-shuffle", s))
+        state = derive_seed(seed, "fold-shuffle", s)
         for class_indices in (dataset.minority_indices, dataset.majority_indices):
             order = list(map(int, class_indices))
-            rng.shuffle(order)
+            state = shuffle(order, state)
             base, extra = divmod(len(order), n_folds)
             sizes = base + (np.arange(n_folds) < extra)
             assignments[s, order] = np.repeat(np.arange(n_folds), sizes)

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-class MetricError(ValueError):
-    pass
+from .data import DataError
 
 
 @dataclass(frozen=True)
@@ -32,9 +30,9 @@ def confusion(truth, predicted) -> ConfusionMatrix:
     t = np.asarray(truth)
     p = np.asarray(predicted)
     if t.shape != p.shape or t.ndim != 1 or t.size == 0:
-        raise MetricError(f"need equal non-empty 1-D label arrays, got {t.shape} vs {p.shape}")
+        raise DataError(f"need equal non-empty 1-D label arrays, got {t.shape} vs {p.shape}")
     if not (np.isin(t, (0, 1)).all() and np.isin(p, (0, 1)).all()):
-        raise MetricError("labels must be binary (0/1)")
+        raise DataError("labels must be binary (0/1)")
     return ConfusionMatrix(
         tp=int(np.sum((t == 1) & (p == 1))),
         fp=int(np.sum((t == 0) & (p == 1))),
@@ -55,7 +53,7 @@ def cohen_kappa(cm: ConfusionMatrix) -> float:
     """(P_o - P_e) / (1 - P_e), chance-corrected agreement."""
     n = cm.total
     if n == 0:
-        raise MetricError("empty confusion matrix")
+        raise DataError("empty confusion matrix")
     p_o = (cm.tp + cm.tn) / n
     p_e = ((cm.tp + cm.fp) * (cm.tp + cm.fn) + (cm.fn + cm.tn) * (cm.fp + cm.tn)) / (n * n)
     if p_e == 1.0:

@@ -87,7 +87,7 @@ class ConvGeNConfig:
             "5,prox": (5, True),
             "min,prox": ("min", True),
         }
-        if name not in table:
+        if not isinstance(name, str) or name not in table:
             raise DataError(f"unknown preset {name!r}; choose from {sorted(table)}")
         neb, prox = table[name]
         return ConvGeNConfig(neb=neb, maj_proximal=prox)

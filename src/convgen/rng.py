@@ -19,31 +19,18 @@ def splitmix64(state: int) -> tuple[int, int]:
     return state, (z ^ (z >> 31)) & MASK64
 
 
-class SplitMix64:
-    """Tiny 64-bit PRNG with a documented, fixed algorithm."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state, out = splitmix64(self._state)
-        return out
-
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (unbiased)."""
-        if n <= 0:
-            raise ValueError("randint bound must be positive")
-        limit = (MASK64 + 1) - ((MASK64 + 1) % n)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % n
-
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
+def shuffle(items: list, seed: int) -> int:
+    """In-place Fisher-Yates shuffle on the splitmix64 stream from `seed`, each
+    index drawn by unbiased rejection; returns the stream's final state, which
+    continues the stream when passed as the next seed."""
+    state = seed & MASK64
+    for i in range(len(items) - 1, 0, -1):
+        u = limit = (MASK64 + 1) - ((MASK64 + 1) % (i + 1))
+        while u >= limit:
+            state, u = splitmix64(state)
+        j = u % (i + 1)
+        items[i], items[j] = items[j], items[i]
+    return state
 
 
 def _fnv1a64(text: str) -> int:

@@ -203,6 +203,15 @@ class TestSyntheticCsv:
         with pytest.raises(DataError, match=r"short\.csv:1: expected 4 columns, got 3"):
             load_synthetic_csv(short, 4)
 
+    def test_errors_name_the_files_own_line(self, tmp_path):
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text("\n1,2\n\n3,4\n\nx,5\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"gappy\.csv:6: non-numeric cell"):
+            load_synthetic_csv(gappy, 2)
+        # the first non-blank line is the one that may be a header
+        gappy.write_text("\n\na,b\n1,2\n", encoding="utf-8")
+        np.testing.assert_array_equal(load_synthetic_csv(gappy, 2), [[1.0, 2.0]])
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_rejected(self, tmp_path, cell):
         bad = tmp_path / "bad.csv"

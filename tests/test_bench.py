@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from convgen.bench import (
     BenchmarkConfig,
     DatasetSpec,
     Spec,
-    _check_keys,
     _worker_pool,
     dump_report,
     FoldResult,
@@ -59,6 +60,27 @@ def toy_config(csv_path, oversamplers, classifiers, n_folds=2, n_shuffles=2, see
     )
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def build_config(monkeypatch, toy_csv):
+    """Builds the toy config around one oversampler and one classifier entry;
+    loading a dataset or running a fold meanwhile fails the test."""
+    import convgen.bench as bench
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    monkeypatch.setattr(DatasetSpec, "load", no_work)
+    monkeypatch.setattr(bench, "run_fold", no_work)
+    monkeypatch.setattr(bench, "oversample_fold", no_work)
+
+    def build(oversampler=Spec("rep", "repeater"), classifier=Spec("knn", "knn")):
+        return toy_config(toy_csv, [oversampler], [classifier])
+    return build
+
+
 class TestConfig:
     def test_from_json_defaults(self, tmp_path, toy_csv):
         cfg_path = tmp_path / "cfg.json"
@@ -100,10 +122,41 @@ class TestConfig:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(block)
         cfg = BenchmarkConfig.from_json(cfg_path)
-        specs = cfg.oversamplers + cfg.classifiers
-        assert {spec.kind for spec in specs} <= set(SPEC_KEYS)
-        for spec in specs:
-            _check_keys(spec)
+        assert {spec.kind for spec in cfg.oversamplers} <= set(SPEC_KEYS["oversamplers"])
+        assert {spec.kind for spec in cfg.classifiers} <= set(SPEC_KEYS["classifiers"])
+
+    def test_benchmark_configs_pass_the_gate(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        paths = sorted((ROOT / "configs").glob("*.json"))
+        assert paths and workloads.WORKLOADS
+        for name, workload in workloads.WORKLOADS.items():
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({**workload["config"], "seed": 0}))
+        for path in paths:
+            cfg = BenchmarkConfig.from_json(path)
+            assert cfg.oversamplers and cfg.classifiers, path
+
+    def test_kind_outside_its_list_rejected(self, build_config):
+        with pytest.raises(DataError, match=r"knn 'knn' in oversamplers: unknown kind"):
+            build_config(oversampler=Spec("knn", "knn"))
+        with pytest.raises(DataError, match=r"repeater 'rep' in classifiers: unknown kind"):
+            build_config(classifier=Spec("rep", "repeater"))
+        with pytest.raises(DataError, match=r"smote 'x' in oversamplers: unknown kind; "
+                                            r"choose from \['convgen', "):
+            build_config(oversampler=Spec("x", "smote"))
+
+    def test_from_file_without_path_rejected_on_load(self, build_config):
+        with pytest.raises(DataError, match=r"from-file 'ff' in oversamplers: needs a synthetic "
+                                            r"rows file, key 'path'"):
+            build_config(oversampler=Spec("ff", "from-file"))
+
+    def test_external_without_dir_rejected_on_load(self, build_config):
+        with pytest.raises(DataError, match=r"external 'ext' in classifiers: needs a "
+                                            r"predictions directory, key 'dir'"):
+            build_config(classifier=Spec("ext", "external"))
 
     def test_env_seed_override(self, tmp_path, toy_csv):
         cfg_path = tmp_path / "cfg.json"
@@ -149,8 +202,12 @@ class TestConfig:
           "oversamplers": ["repeater"], "classifiers": ["knn", 3]},
          r"classifiers\[1\] is malformed: 3"),
         ('{"datasets": [', "config is not JSON: "),
+        ({"datasets": [{"path": "d.csv", "label_column": "label", "minority_label": "1"}],
+          "oversamplers": ["repeater"], "classifiers": [{"kind": "knn", "k": 0}]},
+         r"knn 'knn' in classifiers: k must be an integer >= 1, got 0"),
     ], ids=["dataset-without-label-column", "top-level-list", "oversampler-without-kind",
-            "dataset-not-an-object", "classifier-not-an-object-or-string", "not-json"])
+            "dataset-not-an-object", "classifier-not-an-object-or-string", "not-json",
+            "knn-k-zero"])
     def test_malformed_file_rejected_naming_the_file_and_entry(self, tmp_path, raw, pattern):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
@@ -214,12 +271,9 @@ class TestOversampleFold:
         ("convgen", {"preset": "5,maj", "seed": 3}, "seed"),
         ("convgen", {"k_prime": 3}, "k_prime"),
     ])
-    def test_unknown_key_rejected(self, toy_dataset, kind, params, key):
-        plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
-        train_ids = plan.train_indices(0, 0)
-        with pytest.raises(DataError, match=f"unknown key.*'{key}'"):
-            oversample_fold(Spec("o", kind, params),
-                            toy_dataset.subset(train_ids), train_ids, 4, seed=3)
+    def test_unknown_key_rejected(self, build_config, kind, params, key):
+        with pytest.raises(DataError, match=f"{kind} 'o' in oversamplers: unknown key.*'{key}'"):
+            build_config(oversampler=Spec("o", kind, params))
 
     @pytest.mark.parametrize("kind,key,value", [
         ("interpolation", "k", "5"),
@@ -231,12 +285,10 @@ class TestOversampleFold:
         ("gan", "epochs", -1),
         ("gan", "epochs", False),
     ])
-    def test_count_value_must_be_positive_int(self, toy_dataset, kind, key, value):
-        plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
-        train_ids = plan.train_indices(0, 0)
-        with pytest.raises(DataError, match=f"{key} must be an integer >= 1, got {value!r}"):
-            oversample_fold(Spec("o", kind, {key: value}),
-                            toy_dataset.subset(train_ids), train_ids, 4, seed=3)
+    def test_count_value_must_be_positive_int(self, build_config, kind, key, value):
+        with pytest.raises(DataError, match=f"{kind} 'o' in oversamplers: "
+                                            f"{key} must be an integer >= 1, got {value!r}"):
+            build_config(oversampler=Spec("o", kind, {key: value}))
 
     @pytest.mark.parametrize("key,value", [
         ("maj_proximal", "no"),
@@ -249,16 +301,15 @@ class TestOversampleFold:
         ("disc_train_count", -1),
         ("k_prime", 0),
         ("k_prime", 1.5),
+        ("preset", "6,maj"),
+        ("preset", ["5,maj"]),
     ])
-    def test_convgen_value_types_rejected(self, toy_dataset, key, value):
-        plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
-        train_ids = plan.train_indices(0, 0)
+    def test_convgen_value_types_rejected(self, build_config, key, value):
         # k_prime is no longer a setting: any value of it is refused as an unknown key
         pattern = (f"unknown key.*'{key}'" if key == "k_prime"
                    else re.escape(key) + ".*" + re.escape(repr(value)))
-        with pytest.raises(DataError, match=pattern):
-            oversample_fold(Spec("cg", "convgen", {key: value}),
-                            toy_dataset.subset(train_ids), train_ids, 4, seed=3)
+        with pytest.raises(DataError, match="convgen 'cg' in oversamplers: .*" + pattern):
+            build_config(oversampler=Spec("cg", "convgen", {key: value}))
 
     def test_from_file_cycles_rows(self, tmp_path, toy_dataset):
         rows = np.arange(6.0).reshape(3, 2)
@@ -334,21 +385,20 @@ class TestMakeClassifier:
         ("doc", {"epochs": 3}, ["epochs"]),
         ("external", {"dir": "preds", "sep": ";"}, ["sep"]),
     ])
-    def test_unknown_key_rejected(self, kind, params, keys):
-        fold_result = FoldResult(None, None, model=object())
-        with pytest.raises(DataError, match="unknown key") as info:
-            make_classifier(Spec("c", kind, params), fold_result, "toy_s0_f0")
+    def test_unknown_key_rejected(self, build_config, kind, params, keys):
+        with pytest.raises(DataError, match=f"{kind} 'c' in classifiers: unknown key") as info:
+            build_config(classifier=Spec("c", kind, params))
         assert str(keys) in str(info.value)
 
-
     @pytest.mark.parametrize("value", ["5", 2.7, 0, -3, True])
-    def test_knn_k_must_be_positive_int(self, value):
-        with pytest.raises(DataError, match=f"k must be an integer >= 1, got {value!r}"):
-            make_classifier(Spec("knn", "knn", {"k": value}), FoldResult(None, None),
-                            "toy_s0_f0")
+    def test_knn_k_must_be_positive_int(self, build_config, value):
+        with pytest.raises(DataError, match=f"knn 'knn' in classifiers: k must be an integer >= 1, "
+                                            f"got {value!r}"):
+            build_config(classifier=Spec("knn", "knn", {"k": value}))
 
-    def test_numpy_integer_k_accepted(self):
+    def test_numpy_integer_k_accepted(self, build_config):
         spec = Spec("knn", "knn", {"k": np.int64(3)})
+        assert build_config(classifier=spec).classifiers == (spec,)
         assert make_classifier(spec, FoldResult(None, None), "toy_s0_f0").k == 3
 
 
@@ -461,16 +511,6 @@ class TestRunFold:
         assert scores["ext"]["f1"] == 1.0
         assert scores["ext"]["kappa"] == 1.0
 
-
-    def test_external_without_dir_fails_its_cell_with_data_error(self, toy_csv):
-        cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
-                         [Spec("ext", "external"), Spec("knn", "knn")])
-        dataset = cfg.datasets[0].load()
-        plan = stratified_kfold(dataset, 2, 1, seed=1)
-        scores = run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
-        assert scores["ext"]["error"] == (
-            "DataError: external classifier needs a predictions directory")
-        assert "f1" in scores["knn"]
 
 
 class TestRunBenchmark:

@@ -98,6 +98,41 @@ class TestRunCommand:
         assert result.exit_code == 2
         assert "--jobs" in result.output and ">=1" in result.output
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda cfg: cfg.update(oversamplers=[]),
+         "config.json: oversamplers must list at least one entry"),
+        (lambda cfg: cfg.update(classifiers=[{"kind": "knn", "weights": "distance"}]),
+         "config.json: knn 'knn' in classifiers: unknown key(s) ['weights']"),
+        (lambda cfg: cfg["datasets"][0].update(label_column="label"),
+         "toy.csv: label column 'label' not in header"),
+    ], ids=["empty-list", "bad-spec-key", "dataset-without-its-label-column"])
+    def test_bad_config_is_a_one_line_usage_error(self, tmp_path, monkeypatch, edit, message):
+        import convgen.bench as bench
+
+        def no_fold(*args):
+            raise AssertionError("a fold ran")
+
+        loaded = []
+        load = bench.DatasetSpec.load
+        monkeypatch.setattr(bench, "run_fold", no_fold)
+        monkeypatch.setattr(bench.DatasetSpec, "load",
+                            lambda spec: loaded.append(spec.name) or load(spec))
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        cfg_path = make_config(tmp_path, csv_path)
+        cfg = json.loads(cfg_path.read_text())
+        edit(cfg)
+        cfg_path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg_path),
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+        assert len(errors) == 1 and errors[0].endswith(message), result.output
+        # only a config that passes the load checks gets as far as its dataset
+        assert loaded == (["toy"] if "toy.csv" in message else [])
+        assert not (tmp_path / "out").exists()
+
 
 class TestPcaCommand:
     def test_projection_csv(self, tmp_path):

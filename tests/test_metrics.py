@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convgen.metrics import ConfusionMatrix, MetricError, cohen_kappa, confusion, f1_minority
+from convgen.data import DataError
+from convgen.metrics import ConfusionMatrix, cohen_kappa, confusion, f1_minority
 
 
 def definitional_f1(tp, fp, fn):
@@ -59,11 +60,11 @@ class TestConfusion:
         )
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError):
             confusion((1, 0), (1,))
 
     def test_non_binary_rejected(self):
-        with pytest.raises(MetricError):
+        with pytest.raises(DataError):
             confusion((1, 2), (1, 0))
 
 
