@@ -13,10 +13,8 @@ runs).
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -127,8 +125,15 @@ class BenchmarkConfig:
         require_int("n_folds", self.n_folds, 2)
         require_int("n_shuffles", self.n_shuffles, 1)
         require_int("seed", self.seed, float("-inf"))
-        # report cells and per-fold scores are keyed by these names
         for key in ("datasets", "oversamplers", "classifiers"):
+            # every field annotated `str` (the annotations are strings here)
+            # must hold one: names key the report, kinds pick the code
+            for i, spec in enumerate(getattr(self, key)):
+                bad = [f"{f.name}={getattr(spec, f.name)!r}" for f in fields(spec)
+                       if f.type == "str" and not isinstance(getattr(spec, f.name), str)]
+                if bad:
+                    raise DataError(f"{key}[{i}] is malformed: non-string {', '.join(bad)}")
+            # report cells and per-fold scores are keyed by these names
             names = [spec.name for spec in getattr(self, key)]
             if not names:
                 raise DataError(f"{key} must list at least one entry")
@@ -316,6 +321,11 @@ def _worker_pool(jobs: int):
     keeps the parent's, so the workers are spawned with the settings in
     their environment; the parent's environment is restored afterwards.
     """
+    # Imported here: only jobs > 1 needs a pool, and the imports cost a
+    # serial run ~20 ms of start-up and ~1 MB of memory.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     saved = {var: os.environ.get(var) for var in _WORKER_ENV}
     os.environ.update(_WORKER_ENV)
     try:

@@ -80,9 +80,14 @@ def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Da
     """Load a numeric CSV with a header row into a Dataset.
 
     Rows whose label cell equals `minority_label` (string compare on the
-    raw cell) become the minority class. Row order is preserved.
+    raw cell) become the minority class. Row order is preserved. A fault
+    raises a DataError that names the first faulty line.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -92,28 +97,37 @@ def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Da
             raise DataError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column)
 
-        rows, labels = [], []
+        # One pass collects the feature cells of every row into one flat list;
+        # a row of the wrong length ends the pass, and is reported only if no
+        # cell before it fails to parse.
+        cells, labels, linenos, bad_length = [], [], [], None
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            feats = []
-            for col, cell in enumerate(row):
-                if col == label_idx:
-                    continue
-                try:
-                    feats.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric value {cell!r} in column {header[col]!r}"
-                    ) from None
-            rows.append(feats)
-            labels.append(1 if row[label_idx].strip() == minority_label else 0)
+                bad_length = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                break
+            labels.append(row.pop(label_idx).strip() == minority_label)
+            cells += row
+            linenos.append(lineno)
 
-    if not rows:
+    try:
+        values = np.array(cells, dtype=np.float64)  # float() on each cell
+    except ValueError:
+        columns = header[:label_idx] + header[label_idx + 1:]
+        for pos, cell in enumerate(cells):
+            try:
+                float(cell)
+            except ValueError:
+                line, col = divmod(pos, len(columns))
+                raise DataError(f"{path}:{linenos[line]}: non-numeric value {cell!r} "
+                                f"in column {columns[col]!r}") from None
+        raise
+    if bad_length:
+        raise DataError(bad_length)
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    features = np.array(rows, dtype=np.float64)
+    features = values.reshape(len(labels), len(header) - 1)
     label_arr = np.array(labels, dtype=int)
     if label_arr.min() == label_arr.max():
         raise DataError(f"{path}: only one class present (minority_label={minority_label!r})")

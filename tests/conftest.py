@@ -5,6 +5,7 @@ import pytest
 
 from convgen.data import Dataset
 from convgen.nn import Network, NNError, loss
+from convgen.rng import MASK64, splitmix64
 
 
 def two_blob_dataset(seed: int = 7, n_majority: int = 60, n_minority: int = 12,
@@ -16,6 +17,20 @@ def two_blob_dataset(seed: int = 7, n_majority: int = 60, n_minority: int = 12,
     features = np.vstack([majority, minority])
     labels = np.array([0] * n_majority + [1] * n_minority)
     return Dataset(features, labels, "toy-blobs")
+
+
+def reference_shuffle(items: list, seed: int) -> int:
+    """The scalar Fisher-Yates loop that `rng.shuffle` must match: one
+    splitmix64 draw per index, a draw in the incomplete top block rejected
+    and redrawn; returns the final state."""
+    state = seed & MASK64
+    for i in range(len(items) - 1, 0, -1):
+        u = limit = (MASK64 + 1) - ((MASK64 + 1) % (i + 1))
+        while u >= limit:
+            state, u = splitmix64(state)
+        j = u % (i + 1)
+        items[i], items[j] = items[j], items[i]
+    return state
 
 
 def grad_check(net: Network, kind: str, x: np.ndarray, target: np.ndarray,

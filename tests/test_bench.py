@@ -2,6 +2,8 @@ import importlib.util
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +51,10 @@ def toy_csv(tmp_path):
     return str(path)
 
 
-def toy_config(csv_path, oversamplers, classifiers, n_folds=2, n_shuffles=2, seed=11):
+def toy_config(csv_path, oversamplers, classifiers, n_folds=2, n_shuffles=2, seed=11,
+               dataset_name="toy"):
     return BenchmarkConfig(
-        datasets=(DatasetSpec(csv_path, "cls", "pos", "toy"),),
+        datasets=(DatasetSpec(csv_path, "cls", "pos", dataset_name),),
         oversamplers=tuple(oversamplers),
         classifiers=tuple(classifiers),
         n_folds=n_folds,
@@ -76,8 +79,9 @@ def build_config(monkeypatch, toy_csv):
     monkeypatch.setattr(bench, "run_fold", no_work)
     monkeypatch.setattr(bench, "oversample_fold", no_work)
 
-    def build(oversampler=Spec("rep", "repeater"), classifier=Spec("knn", "knn")):
-        return toy_config(toy_csv, [oversampler], [classifier])
+    def build(oversampler=Spec("rep", "repeater"), classifier=Spec("knn", "knn"),
+              dataset_name="toy"):
+        return toy_config(toy_csv, [oversampler], [classifier], dataset_name=dataset_name)
     return build
 
 
@@ -148,6 +152,16 @@ class TestConfig:
                                             r"choose from \['convgen', "):
             build_config(oversampler=Spec("x", "smote"))
 
+    def test_non_string_kind_or_name_rejected(self, build_config):
+        with pytest.raises(DataError, match=r"classifiers\[0\] is malformed: "
+                                            r"non-string name=\['knn'\], kind=\['knn'\]"):
+            build_config(classifier=Spec(["knn"], ["knn"]))
+        with pytest.raises(DataError, match=r"oversamplers\[0\] is malformed: non-string name=5"):
+            build_config(oversampler=Spec(5, "repeater"))
+        with pytest.raises(DataError, match=r"datasets\[0\] is malformed: non-string "
+                                            r"name=\['a'\]"):
+            build_config(dataset_name=["a"])
+
     def test_from_file_without_path_rejected_on_load(self, build_config):
         with pytest.raises(DataError, match=r"from-file 'ff' in oversamplers: needs a synthetic "
                                             r"rows file, key 'path'"):
@@ -205,9 +219,19 @@ class TestConfig:
         ({"datasets": [{"path": "d.csv", "label_column": "label", "minority_label": "1"}],
           "oversamplers": ["repeater"], "classifiers": [{"kind": "knn", "k": 0}]},
          r"knn 'knn' in classifiers: k must be an integer >= 1, got 0"),
+        ({"datasets": [{"path": "d.csv", "label_column": "label", "minority_label": "1"}],
+          "oversamplers": ["repeater"], "classifiers": [{"kind": ["knn"]}]},
+         r"classifiers\[0\] is malformed: non-string name=\['knn'\], kind=\['knn'\]"),
+        ({"datasets": [{"path": "d.csv", "label_column": "label", "minority_label": "1"}],
+          "oversamplers": [{"kind": "repeater", "name": 5}], "classifiers": ["knn"]},
+         r"oversamplers\[0\] is malformed: non-string name=5"),
+        ({"datasets": [{"path": "d.csv", "label_column": "label", "minority_label": "1",
+                        "name": ["a"]}],
+          "oversamplers": ["repeater"], "classifiers": ["knn"]},
+         r"datasets\[0\] is malformed: non-string name=\['a'\]"),
     ], ids=["dataset-without-label-column", "top-level-list", "oversampler-without-kind",
             "dataset-not-an-object", "classifier-not-an-object-or-string", "not-json",
-            "knn-k-zero"])
+            "knn-k-zero", "list-kind", "int-name", "list-dataset-name"])
     def test_malformed_file_rejected_naming_the_file_and_entry(self, tmp_path, raw, pattern):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
@@ -564,6 +588,15 @@ class TestRunBenchmark:
         assert seen == ["1", "1", "1"]
         assert os.environ["OMP_NUM_THREADS"] == "3"
         assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    def test_importing_bench_loads_no_process_pool(self):
+        probe = ("import sys, convgen.bench; "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert out.stdout.strip() == "[]"
 
 
 class TestRendering:

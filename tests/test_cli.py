@@ -105,7 +105,10 @@ class TestRunCommand:
          "config.json: knn 'knn' in classifiers: unknown key(s) ['weights']"),
         (lambda cfg: cfg["datasets"][0].update(label_column="label"),
          "toy.csv: label column 'label' not in header"),
-    ], ids=["empty-list", "bad-spec-key", "dataset-without-its-label-column"])
+        (lambda cfg: cfg["datasets"][0].update(path="no-such-dir/toy.csv"),
+         "no-such-dir/toy.csv: cannot open: No such file or directory"),
+    ], ids=["empty-list", "bad-spec-key", "dataset-without-its-label-column",
+            "missing-dataset-file"])
     def test_bad_config_is_a_one_line_usage_error(self, tmp_path, monkeypatch, edit, message):
         import convgen.bench as bench
 

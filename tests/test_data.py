@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from convgen.baselines import Gan
 from convgen.data import DataError, Dataset, load_csv, stratified_kfold
+from convgen.rng import MASK64, shuffle, splitmix64
+
+from conftest import reference_shuffle
 
 
 @st.composite
@@ -56,6 +59,80 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "one.csv", "a,y\n1,0\n2,0\n")
         with pytest.raises(DataError, match="one class"):
             load_csv(path, "y", "1")
+
+    def test_quoted_numeric_cells(self, tmp_path):
+        path = write_csv(tmp_path / "q.csv", 'a,b,y\n"1.5",2,"1"\n3,"-4e2",0\n')
+        ds = load_csv(path, "y", "1")
+        assert ds.features.tolist() == [[1.5, 2.0], [3.0, -400.0]]
+        assert ds.labels.tolist() == [1, 0]
+
+    def test_blank_lines_in_the_middle_are_skipped(self, tmp_path):
+        path = write_csv(tmp_path / "b.csv", "a,y\n1,1\n\n\n2,0\n\n3,0\n")
+        ds = load_csv(path, "y", "1")
+        assert ds.features[:, 0].tolist() == [1.0, 2.0, 3.0]
+        assert ds.labels.tolist() == [1, 0, 0]
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        path = write_csv(tmp_path / "h.csv", "a,b,y\n")
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(path, "y", "1")
+
+    def test_label_column_in_the_middle(self, tmp_path):
+        path = write_csv(tmp_path / "m.csv", "a,y,b,c\n1,1,2,3\n4,0,5,6\n7,0,8,x\n")
+        with pytest.raises(DataError, match=r"m\.csv:4: non-numeric value 'x' in column 'c'"):
+            load_csv(path, "y", "1")
+        path = write_csv(tmp_path / "m.csv", "a,y,b,c\n1,1,2,3\n4,0,5,6\n")
+        ds = load_csv(path, "y", "1")
+        assert ds.features.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert ds.labels.tolist() == [1, 0]
+
+    def test_first_faulty_line_is_named(self, tmp_path):
+        path = write_csv(tmp_path / "f.csv", "a,b,y\n1,2,1\n3,oops,0\n5,6,0\n7,0\n8,9,0\n")
+        with pytest.raises(DataError, match=r"f\.csv:3: non-numeric value 'oops' in column 'b'"):
+            load_csv(path, "y", "1")
+        path = write_csv(tmp_path / "f.csv", "a,b,y\n1,2,1\n3,4,0\n5,6,0\n7,0\n8,oops,0\n")
+        with pytest.raises(DataError, match=r"f\.csv:5: expected 3 cells, got 2"):
+            load_csv(path, "y", "1")
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        path = str(tmp_path / "nope.csv")
+        with pytest.raises(DataError, match="nope.csv: cannot open: No such file or directory"):
+            load_csv(path, "y", "1")
+
+
+def _unshift(z: int, k: int) -> int:
+    """Inverse of z ^ (z >> k) on 64 bits."""
+    x = z
+    for _ in range(64 // k):
+        x = z ^ (x >> k)
+    return x
+
+
+def _unmix(out: int) -> int:
+    """The splitmix64 state whose output is `out` (the output mix inverted)."""
+    z = _unshift(out, 31)
+    z = _unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64, 27)
+    return _unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
+
+
+class TestShuffle:
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 3000), st.integers(0, MASK64))
+    def test_matches_the_scalar_loop(self, n, seed):
+        items, expected = list(range(n)), list(range(n))
+        assert shuffle(items, seed) == reference_shuffle(expected, seed)
+        assert items == expected
+
+    def test_rejected_draw_spends_one_state(self):
+        # the first draw from this seed is 2**64 - 1, in the incomplete top
+        # block for the 3-item shuffle's first index (2**64 mod 3 == 1)
+        seed = (_unmix(MASK64) - 0x9E3779B97F4A7C15) & MASK64
+        assert splitmix64(seed)[1] == MASK64
+        items, expected = ["a", "b", "c"], ["a", "b", "c"]
+        state = shuffle(items, seed)
+        assert state == reference_shuffle(expected, seed)
+        assert items == expected
+        assert state == (seed + 3 * 0x9E3779B97F4A7C15) & MASK64  # 1 rejected + 2 kept
 
 
 class TestClassIndices:
