@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .data import DataError, require_int
+from .data import DataError, open_text, require_int
 from .neighborhood import ranked_neighbors
 
 
@@ -123,7 +123,7 @@ class Gan:
 def load_synthetic_csv(path, n_features: int) -> np.ndarray:
     """Read pre-generated synthetic minority rows (no label column); a first
     non-blank line with a non-numeric cell is a header."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise DataError(f"{path}: empty file")

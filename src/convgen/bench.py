@@ -198,8 +198,7 @@ def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
         synthetic, pairs = interpolation_sample(
             minority_rows, spec.params.get("k", 5), n_synthetic, rng
         )
-        provenance = np.unique(minority_ids[pairs.reshape(-1)]) if len(pairs) else minority_ids[:0]
-        return FoldResult(synthetic, provenance)
+        return FoldResult(synthetic, minority_ids[pairs.ravel()])
 
     if spec.kind == "gan":
         gan = Gan(train.n_features, spec.params.get("epochs", 300), seed).train(minority_rows)
@@ -210,9 +209,7 @@ def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
         batches = model.generate(n_synthetic)
         if batches:
             synthetic = np.vstack([b.samples for b in batches])
-            provenance = np.unique(
-                np.concatenate([train_ids[b.source_neighborhood] for b in batches])
-            )
+            provenance = np.concatenate([train_ids[b.source_neighborhood] for b in batches])
         else:
             synthetic = np.empty((0, train.n_features))
             provenance = minority_ids[:0]
@@ -254,8 +251,15 @@ def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
 
     result = oversample_fold(oversampler, train, train_ids, n_synthetic, seed)
     if result.provenance is not None:
-        leaked = np.setdiff1d(result.provenance, train_ids)
-        if len(leaked):
+        # one mask lookup per id; an id outside [0, n_samples), negative ones
+        # included, would wrap or fail as an index, and is held out anyway
+        ids = result.provenance
+        in_train = np.zeros(dataset.n_samples, dtype=bool)
+        in_train[train_ids] = True
+        inside = (ids >= 0) & (ids < dataset.n_samples)
+        inside[inside] = in_train[ids[inside]]
+        if not inside.all():
+            leaked = np.unique(ids[~inside])
             raise DataError(f"oversampler touched held-out rows {leaked[:5]}")
     if len(result.synthetic) != n_synthetic:
         raise DataError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError, require_int
+from .data import DataError, open_text, require_int
 from .neighborhood import ranked_neighbors
 
 
@@ -115,23 +115,25 @@ class LogisticRegressionClassifier:
         x, y = _training_set(features, labels)
         y = y.astype(np.float64)
         n, f = x.shape
-        design = np.empty((n, f + 1))
-        design[:, :f] = x
-        design[:, f] = 1.0
-        # Newton runs on columns scaled to a largest |entry| of 1, so that the
+        # Feature-major: one contiguous row of n values per unknown, so the
+        # products and broadcasts below run along long rows.
+        design = np.empty((f + 1, n))
+        design[:f] = x.T
+        design[f] = 1.0
+        # Newton runs on rows scaled to a largest |entry| of 1, so that the
         # Hessian's eigenvalues do not span the squared ratio of the feature
         # scales. theta holds scale * (w, b): the regularizer divides by
         # scale^2, and the gradient in (w, b) is scale * the gradient in theta.
-        scale = np.abs(design).max(axis=0)
+        scale = np.abs(design).max(axis=1)
         scale[scale == 0.0] = 1.0
-        design /= scale
+        design /= scale[:, None]
         reg = np.append(np.full(f, self.L2), 0.0) / scale / scale
         # (1-y) + (2y-1)*p is p where y = 1 and 1-p where y = 0: the
         # probability given to the true label, one log per row.
         offset, flip = 1.0 - y, 2.0 * y - 1.0
 
         def evaluate(theta):
-            p = self._sigmoid(design @ theta)
+            p = self._sigmoid(theta @ design)
             q = flip * p + offset + self.EPS
             loss = float(-np.log(q).mean() + 0.5 * np.dot(reg * theta, theta))
             return loss, p, q
@@ -144,10 +146,10 @@ class LogisticRegressionClassifier:
                 self.loss_trace.append(loss)
                 curvature = p * (1.0 - p)
                 # d/dz of -log(q) is -(2y-1) * p(1-p) / q, eps included
-                grad = design.T @ (-flip * curvature / q) / n + reg * theta
+                grad = design @ (-flip * curvature / q) / n + reg * theta
                 if np.max(np.abs(grad * scale)) <= self.TOL:
                     break
-                hessian = design.T @ (design * curvature[:, None]) / n + np.diag(reg)
+                hessian = (design * curvature) @ design.T / n + np.diag(reg)
                 values, vectors = np.linalg.eigh(hessian)
                 step = -vectors @ ((vectors.T @ grad) / np.maximum(values, self.HESSIAN_FLOOR))
                 slope = float(grad @ step)
@@ -209,7 +211,7 @@ class ExternalPredictions:
         return self
 
     def predict(self, features) -> np.ndarray:
-        with open(self.path, encoding="utf-8") as fh:
+        with open_text(self.path) as fh:
             labels = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
         for lineno, label in labels:
             if label not in ("0", "1"):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """`path` opened as UTF-8 text for reading. A file that cannot be opened,
+    or a byte read from it that is not UTF-8, raises a DataError naming it."""
+    try:
+        fh = open(path, newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: cannot decode byte "
+                            f"0x{exc.object[exc.start]:02x}") from None
+
+
 def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Dataset:
     """Load a numeric CSV with a header row into a Dataset.
 
@@ -83,11 +100,7 @@ def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Da
     raw cell) become the minority class. Row order is preserved. A fault
     raises a DataError that names the first faulty line.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from None
-    with fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

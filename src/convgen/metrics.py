@@ -31,14 +31,13 @@ def confusion(truth, predicted) -> ConfusionMatrix:
     p = np.asarray(predicted)
     if t.shape != p.shape or t.ndim != 1 or t.size == 0:
         raise DataError(f"need equal non-empty 1-D label arrays, got {t.shape} vs {p.shape}")
-    if not (np.isin(t, (0, 1)).all() and np.isin(p, (0, 1)).all()):
+    t1, p1 = t == 1, p == 1
+    n, ones_t, ones_p = t.size, int(np.count_nonzero(t1)), int(np.count_nonzero(p1))
+    # every entry that is not 1 must be 0 (NaN, 0.5 and 2 are neither)
+    if np.count_nonzero(t == 0) != n - ones_t or np.count_nonzero(p == 0) != n - ones_p:
         raise DataError("labels must be binary (0/1)")
-    return ConfusionMatrix(
-        tp=int(np.sum((t == 1) & (p == 1))),
-        fp=int(np.sum((t == 0) & (p == 1))),
-        fn=int(np.sum((t == 1) & (p == 0))),
-        tn=int(np.sum((t == 0) & (p == 0))),
-    )
+    tp = int(np.count_nonzero(t1 & p1))
+    return ConfusionMatrix(tp=tp, fp=ones_p - tp, fn=ones_t - tp, tn=n - ones_t - ones_p + tp)
 
 
 def f1_minority(cm: ConfusionMatrix) -> float:

@@ -468,6 +468,68 @@ class TestRunFold:
         with pytest.raises(DataError, match="held-out"):
             run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
 
+    @pytest.mark.parametrize("extra", [
+        lambda ids, n: [-1],
+        lambda ids, n: [n, n + 3],
+        lambda ids, n: [ids[1]] * 4,
+        lambda ids, n: [ids[3], -7, ids[0], 2 * n, ids[3], ids[2], ids[1], -7],
+    ], ids=["negative", "beyond-the-dataset", "repeated-held-out", "more-than-five"])
+    def test_leak_names_the_sorted_unique_held_out_ids(self, toy_csv, monkeypatch, extra):
+        import convgen.bench as bench
+
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater")], [Spec("knn", "knn")])
+        dataset = cfg.datasets[0].load()
+        plan = stratified_kfold(dataset, 2, 1, seed=1)
+        leaked = np.array(extra(plan.test_indices(0, 0), dataset.n_samples))
+
+        def leaky(spec, train, train_ids, n_syn, seed):
+            res = oversample_fold(spec, train, train_ids, n_syn, seed)
+            res.provenance = np.concatenate([res.provenance[:3], leaked, res.provenance[3:]])
+            return res
+
+        monkeypatch.setattr(bench, "oversample_fold", leaky)
+        with pytest.raises(DataError) as err:
+            run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
+        assert str(err.value) == f"oversampler touched held-out rows {np.unique(leaked)[:5]}"
+
+    def test_in_fold_provenance_with_duplicates_passes(self, toy_csv, monkeypatch):
+        import convgen.bench as bench
+
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater")], [Spec("knn", "knn")])
+        dataset = cfg.datasets[0].load()
+        plan = stratified_kfold(dataset, 2, 1, seed=1)
+        train_ids = plan.train_indices(0, 0)
+
+        def repeated(spec, train, ids, n_syn, seed):
+            res = oversample_fold(spec, train, ids, n_syn, seed)
+            res.provenance = np.concatenate([train_ids[::-1], train_ids, train_ids[:1].repeat(5)])
+            return res
+
+        monkeypatch.setattr(bench, "oversample_fold", repeated)
+        assert "f1" in run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)["knn"]
+
+    @pytest.mark.parametrize("kind", ["from-file", "external"])
+    def test_undecodable_file_fails_its_folds_naming_the_file(self, toy_csv, tmp_path, kind):
+        files = tmp_path / "files"
+        files.mkdir()
+        if kind == "from-file":
+            rows = files / "rows.csv"
+            rows.write_bytes(b"1.0,2.0\n3.0,caf\xe9\n")
+            cfg = toy_config(toy_csv, [Spec("ff", "from-file", {"path": str(rows)})],
+                             [Spec("knn", "knn")], n_shuffles=1)
+            named = [rows, rows]
+        else:
+            named = [files / f"toy_s0_f{fold}.csv" for fold in range(2)]
+            for path in named:
+                path.write_bytes(b"0\n1\n\xe9\n")
+            cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
+                             [Spec("ext", "external", {"dir": str(files)})], n_shuffles=1)
+        report, _ = run_benchmark(cfg)
+        (cell,) = report["cells"]
+        assert cell["status"] == "failed"
+        assert [entry["error"] for entry in cell["folds"]] == [
+            f"DataError: {path}: not UTF-8 text: cannot decode byte 0xe9" for path in named]
+
     def test_doc_without_convgen_fails_per_cell(self, toy_csv):
         cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
                          [Spec("doc", "doc"), Spec("knn", "knn")])

@@ -26,6 +26,14 @@ def make_config(tmp_path, csv_path, oversamplers=None, classifiers=None):
     return path
 
 
+def latin1_header(path):
+    """Rewrite the first header cell of the CSV at `path` with a Latin-1 byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(b"caf\xe9" + data[1:])
+
+
 class TestRunCommand:
     def test_run_writes_reports(self, tmp_path):
         csv_path = tmp_path / "toy.csv"
@@ -107,8 +115,10 @@ class TestRunCommand:
          "toy.csv: label column 'label' not in header"),
         (lambda cfg: cfg["datasets"][0].update(path="no-such-dir/toy.csv"),
          "no-such-dir/toy.csv: cannot open: No such file or directory"),
+        (lambda cfg: latin1_header(cfg["datasets"][0]["path"]),
+         "toy.csv: not UTF-8 text: cannot decode byte 0xe9"),
     ], ids=["empty-list", "bad-spec-key", "dataset-without-its-label-column",
-            "missing-dataset-file"])
+            "missing-dataset-file", "latin1-dataset-file"])
     def test_bad_config_is_a_one_line_usage_error(self, tmp_path, monkeypatch, edit, message):
         import convgen.bench as bench
 

@@ -67,6 +67,39 @@ class TestConfusion:
         with pytest.raises(DataError):
             confusion((1, 2), (1, 0))
 
+    @pytest.mark.parametrize("dtype", [int, bool, float])
+    def test_counts_match_a_2x2_tally_for_each_label_dtype(self, dtype):
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 7, 64, 301):
+            truth = rng.integers(2, size=size).astype(dtype)
+            pred = rng.integers(2, size=size).astype(dtype)
+            tally = np.zeros((2, 2), dtype=int)  # [truth][predicted]
+            for t, p in zip(truth, pred):
+                tally[int(t), int(p)] += 1
+            cm = confusion(truth, pred)
+            assert (cm.tp, cm.fp, cm.fn, cm.tn) == (
+                tally[1, 1], tally[0, 1], tally[1, 0], tally[0, 0])
+            assert all(type(v) is int for v in (cm.tp, cm.fp, cm.fn, cm.tn))
+
+    @pytest.mark.parametrize("value", [2, -1, 0.5, np.nan])
+    @pytest.mark.parametrize("side", ["truth", "predicted"])
+    def test_each_non_binary_value_rejected(self, value, side):
+        labels = {"truth": np.array([0.0, 1.0, 1.0, 0.0]),
+                  "predicted": np.array([0.0, 1.0, 0.0, 0.0])}
+        labels[side][2] = value
+        with pytest.raises(DataError, match=r"^labels must be binary \(0/1\)$"):
+            confusion(labels["truth"], labels["predicted"])
+
+    @pytest.mark.parametrize("truth,pred,shapes", [
+        ([], [], r"\(0,\) vs \(0,\)"),
+        ([1, 0], [1], r"\(2,\) vs \(1,\)"),
+        ([[1, 0]], [[1, 0]], r"\(1, 2\) vs \(1, 2\)"),
+    ], ids=["empty", "length-mismatch", "two-dimensional"])
+    def test_shape_errors_name_both_shapes(self, truth, pred, shapes):
+        with pytest.raises(DataError, match=r"^need equal non-empty 1-D label arrays, got "
+                                            + shapes + "$"):
+            confusion(truth, pred)
+
 
 class TestF1:
     def test_perfect_prediction(self):

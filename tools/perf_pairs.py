@@ -15,6 +15,11 @@ least nine tenths of them, and the medians differ, in the metric's better
 direction (read from BENCHMARK.json), by more than the distance between
 the parent's quartiles.
 
+Every end-to-end metric whose change median is worse than the parent
+median by more than the metric's BENCHMARK.json bound (a fraction of the
+parent median, read in the metric's better direction) is marked WORSE in
+the summary, and listed under "regressions" in the final JSON line.
+
 Each pair also prints whether both sides wrote the same report.json bytes
 (the `report digest` line of each run), and the summary lists the seeds
 whose digests differ. A run that does not end with `correct: true`, or
@@ -87,10 +92,10 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    if args.metric not in better:
-        p.error(f"--metric must be one of {sorted(better)}")
-    higher = better[args.metric] == "higher"
+        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    if args.metric not in end_to_end:
+        p.error(f"--metric must be one of {sorted(end_to_end)}")
+    higher = end_to_end[args.metric]["better"] == "higher"
 
     runs = {"parent": [], "change": []}
     digests = {"parent": [], "change": []}
@@ -113,13 +118,25 @@ def main(argv=None) -> int:
               f"{'same' if same else 'DIFFERS'} ({str(digests['change'][-1])[:12]})", flush=True)
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs at --seconds {args.seconds:g}")
-    print(f"{'metric':<14}{'parent q1 / median / q3':>34}{'change q1 / median / q3':>34}")
+    print(f"{'metric':<14}{'parent q1 / median / q3':>34}{'change q1 / median / q3':>34}"
+          "  beyond bound")
+    regressions = []
     for name in dict.fromkeys(k for side in runs.values() for r in side for k in r):
-        cells = []
+        cells, medians = [], []
         for side in ("parent", "change"):
             values = [r[name] for r in runs[side] if name in r]
             cells.append(" / ".join(f"{q:.4g}" for q in quartiles(values)) if values else "-")
-        print(f"{name:<14}{cells[0]:>34}{cells[1]:>34}")
+            medians.append(statistics.median(values) if values else None)
+        flag = ""
+        if name in end_to_end and None not in medians:
+            parent_median, change_median = medians
+            worse = change_median - parent_median
+            if end_to_end[name]["better"] == "higher":
+                worse = -worse
+            if worse > end_to_end[name]["bound"] * abs(parent_median):
+                regressions.append(name)
+                flag = f"WORSE by {worse / abs(parent_median):.1%}" if parent_median else "WORSE"
+        print(f"{name:<14}{cells[0]:>34}{cells[1]:>34}  {flag}".rstrip())
 
     pairs = [(p_run[args.metric], c_run[args.metric])
              for p_run, c_run in zip(runs["parent"], runs["change"])
@@ -141,10 +158,11 @@ def main(argv=None) -> int:
     differ = [seed for seed, a, b in zip(args.seeds, digests["parent"], digests["change"])
               if a != b]
     print(f"report bytes: {'same on every seed' if not differ else f'DIFFER on seeds {differ}'}")
+    print(f"worse than the parent beyond the bound: {', '.join(regressions) or 'none'}")
     if incorrect:
         print(f"runs not correct: {', '.join(incorrect)}")
     print(json.dumps({"workload": args.workload, "seeds": args.seeds, "runs": runs,
-                      "digests": digests}))
+                      "digests": digests, "regressions": regressions}))
     return 1 if incorrect else 0
 
 if __name__ == "__main__":
