@@ -1,5 +1,5 @@
-"""Comparison oversamplers: Repeater, a small vanilla GAN, two-point convex
-interpolation, and an adapter for pre-generated synthetic CSV files.
+"""Comparison oversamplers: Repeater, a small vanilla GAN and two-point
+convex interpolation.
 """
 
 from __future__ import annotations
@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .data import DataError, open_text, require_int
+from .data import DataError, require_int
 from .neighborhood import ranked_neighbors
 
 
@@ -119,28 +119,3 @@ class Gan:
         # float64, which a product rounded in float32 can exceed
         return self.generator.forward(noise).astype(np.float64) * self.alpha
 
-
-def load_synthetic_csv(path, n_features: int) -> np.ndarray:
-    """Read pre-generated synthetic minority rows (no label column); a first
-    non-blank line with a non-numeric cell is a header."""
-    with open_text(path) as fh:
-        lines = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-
-    rows = []
-    for lineno, line in lines:
-        try:
-            row = [float(c) for c in line.split(",")]
-        except ValueError:
-            if lineno == lines[0][0]:
-                continue  # the header
-            raise DataError(f"{path}:{lineno}: non-numeric cell") from None
-        if len(row) != n_features:
-            raise DataError(f"{path}:{lineno}: expected {n_features} columns, got {len(row)}")
-        if not np.all(np.isfinite(row)):
-            raise DataError(f"{path}:{lineno}: non-finite cell")
-        rows.append(row)
-    if not rows:
-        raise DataError(f"{path}: no synthetic rows")
-    return np.array(rows, dtype=np.float64)

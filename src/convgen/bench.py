@@ -20,14 +20,15 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .baselines import Gan, interpolation_sample, load_synthetic_csv, repeater_sample
+from .baselines import Gan, interpolation_sample, repeater_sample
 from .classifiers import (
     DiscriminatorClassifier,
     ExternalPredictions,
     KNNClassifier,
     LogisticRegressionClassifier,
 )
-from .data import DataError, Dataset, FoldPlan, load_csv, require_int, stratified_kfold
+from .data import (DataError, Dataset, FoldPlan, load_csv, load_json_object, load_synthetic_csv,
+                   require_int, stratified_kfold)
 from .metrics import cohen_kappa, confusion, f1_minority
 from .model import ConvGeNConfig, ConvGeNModel
 from .rng import derive_seed
@@ -148,13 +149,7 @@ class BenchmarkConfig:
 
     @staticmethod
     def from_json(path, seed_override: int | None = None) -> "BenchmarkConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:
-                raise DataError(f"{path}: config is not JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise DataError(f"{path}: config is a JSON {type(raw).__name__}, not an object")
+        raw = load_json_object(path, "config")
         seed = raw.get("seed", 0) if seed_override is None else seed_override
         try:
             return BenchmarkConfig(
@@ -424,13 +419,28 @@ def dump_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=1)
 
 
+CELL_NAMES = ("dataset", "oversampler", "classifier", "status")
+CELL_STATS = ("f1_mean", "f1_std", "kappa_mean", "kappa_std")
+
+
+def load_report(path) -> dict:
+    """The raw report at `path`, if each cell holds what the renderers read: its
+    CELL_NAMES as strings and, unless all its folds failed, its CELL_STATS."""
+    cells = (raw := load_json_object(path, "report")).get("cells")
+    if not isinstance(cells, list) or not all(
+            isinstance(c, dict) and all(isinstance(c.get(k), str) for k in CELL_NAMES)
+            and (all(isinstance(c.get(k), (int, float)) for k in CELL_STATS)
+                 or c.keys().isdisjoint(CELL_STATS)) for c in cells):
+        raise DataError(f"{path}: report cells must be objects holding string "
+                        f"{', '.join(CELL_NAMES)} and all or none of {', '.join(CELL_STATS)}")
+    return raw
+
+
 def report_to_csv(report: dict) -> str:
-    names = ("dataset", "oversampler", "classifier", "status")
-    stats = ("f1_mean", "f1_std", "kappa_mean", "kappa_std")
-    lines = [",".join(names + stats)]
+    lines = [",".join(CELL_NAMES + CELL_STATS)]
     for cell in report["cells"]:
-        values = [f"{cell[key]:.6f}" if key in cell else "" for key in stats]
-        lines.append(",".join([cell[key] for key in names] + values))
+        values = [f"{cell[key]:.6f}" if key in cell else "" for key in CELL_STATS]
+        lines.append(",".join([cell[key] for key in CELL_NAMES] + values))
     return "\n".join(lines) + "\n"
 
 

@@ -2,33 +2,32 @@
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
 import click
 
-from .bench import (
-    BenchmarkConfig,
-    dump_report,
-    emit_report,
-    report_to_csv,
-    report_to_markdown,
-    run_benchmark,
-)
-from .data import DataError, load_csv
-from .baselines import load_synthetic_csv
+from .bench import (BenchmarkConfig, emit_report, load_report, report_to_csv, report_to_markdown,
+                    run_benchmark)
+from .data import DataError, load_csv, load_synthetic_csv
 from .pca import pca_project
 
 
-@click.group()
+class _Commands(click.Group):
+    def invoke(self, ctx):  # any command's bad input file: one usage-error line, exit 2
+        try:
+            return super().invoke(ctx)
+        except DataError as exc:
+            raise click.UsageError(str(exc)) from None
+
+
+@click.group(cls=_Commands)
 def main() -> None:
     """Benchmark harness for convex-space oversampling on imbalanced data."""
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(exists=True),
-              help="JSON benchmark configuration.")
+@click.option("--config", "config_path", required=True, help="JSON benchmark configuration.")
 @click.option("--out", "out_dir", default="bench-out", show_default=True,
               help="Output directory for reports.")
 @click.option("--seed", type=int, default=None,
@@ -43,11 +42,8 @@ def run(config_path, out_dir, seed, jobs) -> None:
         ds, ovs, shuffle, _, seconds = result
         click.echo(f"  {ds} / {ovs} / shuffle {shuffle}: {seconds:.1f}s")
 
-    try:
-        cfg = BenchmarkConfig.from_json(config_path, seed_override=seed)
-        report, timings = run_benchmark(cfg, jobs=jobs, progress=progress)
-    except DataError as exc:  # a bad config or dataset file: one line, exit 2
-        raise click.UsageError(str(exc)) from None
+    cfg = BenchmarkConfig.from_json(config_path, seed_override=seed)
+    report, timings = run_benchmark(cfg, jobs=jobs, progress=progress)
     paths = emit_report(report, timings, out_dir)
     failed = [c for c in report["cells"] if c["status"] != "ok"]
     click.echo(f"wrote {paths['raw']}")
@@ -57,10 +53,10 @@ def run(config_path, out_dir, seed, jobs) -> None:
 
 
 @main.command()
-@click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
+@click.option("--dataset", "dataset_path", required=True)
 @click.option("--label-col", required=True, help="Name of the label column.")
 @click.option("--minority-label", required=True, help="Label value of the minority class.")
-@click.option("--synthetic", "synthetic_path", required=True, type=click.Path(exists=True),
+@click.option("--synthetic", "synthetic_path", required=True,
               help="CSV of synthetic rows (feature columns only).")
 @click.option("--out", "out_path", required=True, help="Destination CSV of (set,x,y).")
 def pca(dataset_path, label_col, minority_label, synthetic_path, out_path) -> None:
@@ -80,14 +76,12 @@ def pca(dataset_path, label_col, minority_label, synthetic_path, out_path) -> No
 
 
 @main.command()
-@click.option("--raw", "raw_path", required=True, type=click.Path(exists=True),
-              help="A report.json produced by `bench run`.")
+@click.option("--raw", "raw_path", required=True, help="A report.json produced by `bench run`.")
 @click.option("--format", "fmt", type=click.Choice(["md", "csv"]), default="md",
               show_default=True)
 def report(raw_path, fmt) -> None:
     """Re-render a raw report dump as a Markdown or CSV table."""
-    with open(raw_path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_report(raw_path)
     if fmt == "md":
         click.echo(report_to_markdown(raw), nl=False)
     else:

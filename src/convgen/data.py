@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -93,6 +94,56 @@ def open_text(path, newline=None):
                             f"0x{exc.object[exc.start]:02x}") from None
 
 
+def load_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at `path`; any fault is a DataError
+    naming the file and `what` it should hold (say "config")."""
+    with open_text(path) as fh:
+        text = fh.read()
+    try:
+        raw = json.loads(text)
+    except ValueError as exc:
+        raise DataError(f"{path}: {what} is not JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: {what} is a JSON {type(raw).__name__}, not an object")
+    return raw
+
+
+def _numeric_rows(path, rows, columns, label_idx=None) -> tuple[np.ndarray, list]:
+    """(lineno, row) pairs of numeric CSV cells, blank rows skipped, as a
+    (rows, len(columns)) float64 array, plus each row's cell at `label_idx`
+    if given. A fault names the first faulty line: a row of the wrong length
+    (it ends the pass) or a cell that is not a finite number, with its column."""
+    width = len(columns) + (label_idx is not None)
+    cells, labels, linenos, bad_length = [], [], [], None
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != width:
+            bad_length = f"{path}:{lineno}: expected {width} cells, got {len(row)}"
+            break
+        if label_idx is not None:
+            labels.append(row.pop(label_idx))
+        cells += row
+        linenos.append(lineno)
+    try:
+        values = np.array(cells, dtype=np.float64)  # float() on each cell
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        for pos, cell in enumerate(cells):
+            try:
+                fault = None if np.isfinite(float(cell)) else "non-finite"
+            except ValueError:
+                fault = "non-numeric"
+            if fault:
+                line, col = divmod(pos, len(columns))
+                raise DataError(f"{path}:{linenos[line]}: {fault} value {cell!r} "
+                                f"in column {columns[col]!r}")
+    if bad_length:
+        raise DataError(bad_length)
+    return values.reshape(len(linenos), len(columns)), labels
+
+
 def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Dataset:
     """Load a numeric CSV with a header row into a Dataset.
 
@@ -102,49 +153,37 @@ def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Da
     """
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        if (header := next(reader, None)) is None:
+            raise DataError(f"{path}: empty file")
         if label_column not in header:
             raise DataError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column)
-
-        # One pass collects the feature cells of every row into one flat list;
-        # a row of the wrong length ends the pass, and is reported only if no
-        # cell before it fails to parse.
-        cells, labels, linenos, bad_length = [], [], [], None
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                bad_length = f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                break
-            labels.append(row.pop(label_idx).strip() == minority_label)
-            cells += row
-            linenos.append(lineno)
-
-    try:
-        values = np.array(cells, dtype=np.float64)  # float() on each cell
-    except ValueError:
-        columns = header[:label_idx] + header[label_idx + 1:]
-        for pos, cell in enumerate(cells):
-            try:
-                float(cell)
-            except ValueError:
-                line, col = divmod(pos, len(columns))
-                raise DataError(f"{path}:{linenos[line]}: non-numeric value {cell!r} "
-                                f"in column {columns[col]!r}") from None
-        raise
-    if bad_length:
-        raise DataError(bad_length)
+        features, labels = _numeric_rows(path, enumerate(reader, start=2),
+                                         header[:label_idx] + header[label_idx + 1:], label_idx)
     if not labels:
         raise DataError(f"{path}: no data rows")
-    features = values.reshape(len(labels), len(header) - 1)
-    label_arr = np.array(labels, dtype=int)
+    label_arr = np.array([cell.strip() == minority_label for cell in labels], dtype=int)
     if label_arr.min() == label_arr.max():
         raise DataError(f"{path}: only one class present (minority_label={minority_label!r})")
     return Dataset(features, label_arr, name or str(path))
+
+
+def load_synthetic_csv(path, n_features: int) -> np.ndarray:
+    """Synthetic minority rows of `n_features` cells and no label, read like a
+    dataset. A first row with a non-numeric cell is a header naming the
+    columns; without one, a fault names a column by its position from 1."""
+    with open_text(path, newline="") as fh:
+        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+    columns = [str(i) for i in range(1, n_features + 1)]
+    if rows and len(rows[0][1]) == n_features:
+        try:
+            np.array(rows[0][1], dtype=np.float64)
+        except ValueError:
+            columns = rows.pop(0)[1]
+    features, _ = _numeric_rows(path, rows, columns)
+    if not len(features):
+        raise DataError(f"{path}: no synthetic rows")
+    return features
 
 
 @dataclass(frozen=True)

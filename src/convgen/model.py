@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nn
-from .data import DataError, Dataset, require_int
+from .data import DataError, Dataset, load_json_object, require_int
 from .neighborhood import knn_minority, majority_neighborhoods
 from .rng import derive_seed
 
@@ -406,13 +406,7 @@ class ConvGeNModel:
     @staticmethod
     def load(path, dataset: Dataset) -> "ConvGeNModel":
         """Restore weights; `dataset` must be the training data the model saw."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                payload = json.load(fh)
-            except ValueError as exc:
-                raise DataError(f"{path}: checkpoint is not JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise DataError(f"{path}: checkpoint is a JSON {type(payload).__name__}, not an object")
+        payload = load_json_object(path, "checkpoint")
         fmt = payload.get("format")
         if fmt != CHECKPOINT_FORMAT:
             raise DataError(

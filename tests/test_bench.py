@@ -238,6 +238,14 @@ class TestConfig:
         with pytest.raises(DataError, match=re.escape(str(cfg_path)) + ": " + pattern):
             BenchmarkConfig.from_json(cfg_path)
 
+    def test_unreadable_file_rejected_naming_the_file(self, tmp_path):
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path}: cannot open: Is a directory")):
+            BenchmarkConfig.from_json(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"caf\xe9": 1}')
+        with pytest.raises(DataError, match=r"cfg\.json: not UTF-8 text: cannot decode byte 0xe9"):
+            BenchmarkConfig.from_json(cfg_path)
+
     @pytest.mark.parametrize("key", ["datasets", "oversamplers", "classifiers"])
     def test_empty_list_rejected(self, tmp_path, toy_csv, key):
         raw = {

@@ -34,6 +34,25 @@ def latin1_header(path):
         fh.write(b"caf\xe9" + data[1:])
 
 
+BAD_CELLS = ("r.json: report cells must be objects holding string dataset, oversampler, "
+             "classifier, status and all or none of f1_mean, f1_std, kappa_mean, kappa_std")
+
+
+def nan_first_cell(path):
+    """Rewrite the first feature cell of the CSV at `path` as `nan`."""
+    with open(path, encoding="utf-8") as fh:
+        header, first, *rest = fh.readlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines([header, "nan" + first[first.index(","):], *rest])
+
+
+def assert_one_line_usage_error(result, message):
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error: ")]
+    assert len(errors) == 1 and errors[0].endswith(message), result.output
+
+
 class TestRunCommand:
     def test_run_writes_reports(self, tmp_path):
         csv_path = tmp_path / "toy.csv"
@@ -117,8 +136,10 @@ class TestRunCommand:
          "no-such-dir/toy.csv: cannot open: No such file or directory"),
         (lambda cfg: latin1_header(cfg["datasets"][0]["path"]),
          "toy.csv: not UTF-8 text: cannot decode byte 0xe9"),
+        (lambda cfg: nan_first_cell(cfg["datasets"][0]["path"]),
+         "toy.csv:2: non-finite value 'nan' in column 'x'"),
     ], ids=["empty-list", "bad-spec-key", "dataset-without-its-label-column",
-            "missing-dataset-file", "latin1-dataset-file"])
+            "missing-dataset-file", "latin1-dataset-file", "nan-dataset-cell"])
     def test_bad_config_is_a_one_line_usage_error(self, tmp_path, monkeypatch, edit, message):
         import convgen.bench as bench
 
@@ -147,6 +168,13 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
 
+    def test_config_directory_is_a_one_line_usage_error(self, tmp_path):
+        result = CliRunner().invoke(main, ["run", "--config", str(tmp_path),
+                                           "--out", str(tmp_path / "out")])
+        assert_one_line_usage_error(result, f"{tmp_path}: cannot open: Is a directory")
+        assert not (tmp_path / "out").exists()
+
+
 class TestPcaCommand:
     def test_projection_csv(self, tmp_path):
         csv_path = tmp_path / "toy.csv"
@@ -171,6 +199,24 @@ class TestPcaCommand:
             _, x, y = line.split(",")
             float(x), float(y)
 
+    @pytest.mark.parametrize("edit,synthetic,message", [
+        (nan_first_cell, "1,2\n", "toy.csv:2: non-finite value 'nan' in column 'x'"),
+        (lambda path: None, "a,b\n1,2\n3,4,5\n", "syn.csv:3: expected 2 cells, got 3"),
+    ], ids=["nan-dataset-cell", "wrong-width-synthetic-row"])
+    def test_bad_input_file_is_a_one_line_usage_error(self, tmp_path, edit, synthetic, message):
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        edit(csv_path)
+        syn = tmp_path / "syn.csv"
+        syn.write_text(synthetic, encoding="utf-8")
+        out = tmp_path / "proj.csv"
+        result = CliRunner().invoke(main, [
+            "pca", "--dataset", str(csv_path), "--label-col", "cls",
+            "--minority-label", "pos", "--synthetic", str(syn), "--out", str(out),
+        ])
+        assert_one_line_usage_error(result, message)
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_rerender_markdown_and_csv(self, tmp_path):
@@ -189,3 +235,66 @@ class TestReportCommand:
         csv_out = runner.invoke(main, ["report", "--raw", raw, "--format", "csv"])
         assert csv_out.exit_code == 0
         assert csv_out.output == (out_dir / "means.csv").read_text()
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"cells": [', "r.json: report is not JSON: Expecting value: line 1 column 12 (char 11)"),
+        (b'{"cells": [], "caf\xe9": 1}', "r.json: not UTF-8 text: cannot decode byte 0xe9"),
+        (None, "r.json: cannot open: Is a directory"),
+        (b'[{"cells": []}]', "r.json: report is a JSON list, not an object"),
+        (b'{"cells": [{"dataset": "d"}]}', BAD_CELLS),
+        (b'{"cells": {"dataset": "d"}}', BAD_CELLS),
+        (b'{"cell": []}', BAD_CELLS),
+        (b'{"cells": ["d"]}', BAD_CELLS),
+    ], ids=["not-json", "latin1", "directory", "list", "cell-without-oversampler",
+            "cells-not-a-list", "no-cells", "cell-not-an-object"])
+    def test_bad_report_file_is_a_one_line_usage_error(self, tmp_path, content, message):
+        raw = tmp_path / "r.json"
+        if content is None:
+            raw.mkdir()
+        else:
+            raw.write_bytes(content)
+        for fmt in ("md", "csv"):
+            result = CliRunner().invoke(main, ["report", "--raw", str(raw), "--format", fmt])
+            assert_one_line_usage_error(result, message)
+
+    @pytest.mark.parametrize("edit", [
+        lambda cell: cell.update(dataset=3),
+        lambda cell: cell.update(status=None),
+        lambda cell: cell.update(f1_mean="0.5"),
+        lambda cell: cell.pop("kappa_mean"),
+        lambda cell: cell.update(kappa_std=None),
+    ], ids=["int-dataset", "null-status", "string-stat", "stat-missing", "null-stat"])
+    def test_cell_the_renderers_cannot_read_is_refused(self, tmp_path, edit):
+        cell = {"dataset": "d", "oversampler": "o", "classifier": "c", "status": "ok",
+                "f1_mean": 0.5, "f1_std": 0.0, "kappa_mean": 0.25, "kappa_std": 0.0}
+        raw = tmp_path / "r.json"
+        raw.write_text(json.dumps({"cells": [cell]}), encoding="utf-8")
+        assert CliRunner().invoke(main, ["report", "--raw", str(raw)]).exit_code == 0
+        edit(cell)
+        raw.write_text(json.dumps({"cells": [cell]}), encoding="utf-8")
+        result = CliRunner().invoke(main, ["report", "--raw", str(raw), "--format", "csv"])
+        assert_one_line_usage_error(result, BAD_CELLS)
+
+    def test_failed_cell_without_stats_renders(self, tmp_path):
+        raw = tmp_path / "r.json"
+        raw.write_text(json.dumps({"cells": [{"dataset": "d", "oversampler": "o",
+                                              "classifier": "c", "status": "failed"}]}))
+        result = CliRunner().invoke(main, ["report", "--raw", str(raw), "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1] == "d,o,c,failed,,,,"
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--config", "{nope}"],
+    ["pca", "--dataset", "{nope}", "--synthetic", "{csv}"],
+    ["pca", "--dataset", "{csv}", "--synthetic", "{nope}"],
+    ["report", "--raw", "{nope}"],
+], ids=["run-config", "pca-dataset", "pca-synthetic", "report-raw"])
+def test_missing_input_file_is_a_one_line_usage_error(tmp_path, args):
+    paths = {"nope": str(tmp_path / "nope.csv"), "csv": str(tmp_path / "toy.csv")}
+    write_toy_csv(paths["csv"])
+    if args[0] == "pca":
+        args = args + ["--label-col", "cls", "--minority-label", "pos",
+                       "--out", str(tmp_path / "p.csv")]
+    result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
+    assert_one_line_usage_error(result, f"{paths['nope']}: cannot open: No such file or directory")

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convgen.baselines import Gan
-from convgen.data import DataError, Dataset, load_csv, stratified_kfold
+from convgen.data import DataError, Dataset, load_csv, load_json_object, stratified_kfold
 from convgen.rng import MASK64, shuffle, splitmix64
 
 from conftest import reference_shuffle
@@ -98,6 +100,47 @@ class TestLoadCsv:
         path = str(tmp_path / "nope.csv")
         with pytest.raises(DataError, match="nope.csv: cannot open: No such file or directory"):
             load_csv(path, "y", "1")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_cell_names_file_line_and_column(self, tmp_path, cell):
+        path = write_csv(tmp_path / "n.csv", f"a,b,y\n1,2,1\n3,4,0\n{cell},5,0\n")
+        with pytest.raises(DataError, match=rf"n\.csv:4: non-finite value '{cell}' in column 'a'"):
+            load_csv(path, "y", "1")
+
+    def test_first_faulty_cell_is_named_whatever_its_fault(self, tmp_path):
+        path = write_csv(tmp_path / "n.csv", "a,b,y\n1,nan,1\n3,x,0\n")
+        with pytest.raises(DataError, match=r"n\.csv:2: non-finite value 'nan' in column 'b'"):
+            load_csv(path, "y", "1")
+        path = write_csv(tmp_path / "n.csv", "a,b,y\n1,x,1\n3,nan,0\n")
+        with pytest.raises(DataError, match=r"n\.csv:2: non-numeric value 'x' in column 'b'"):
+            load_csv(path, "y", "1")
+
+
+class TestLoadJsonObject:
+    def test_object_returned(self, tmp_path):
+        path = write_csv(tmp_path / "c.json", '{"a": [1, 2.5], "b": null}')
+        assert load_json_object(path, "config") == {"a": [1, 2.5], "b": None}
+
+    @pytest.mark.parametrize("text,message", [
+        ("{", "c.json: config is not JSON: Expecting property name"),
+        ("[1, 2]", "c.json: config is a JSON list, not an object"),
+        ('"x"', "c.json: config is a JSON str, not an object"),
+        ("", "c.json: config is not JSON: Expecting value"),
+    ], ids=["truncated", "list", "string", "empty"])
+    def test_malformed_file_names_the_file_and_what_it_holds(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "c.json", text)
+        with pytest.raises(DataError, match=message):
+            load_json_object(path, "config")
+
+    def test_unreadable_file_names_the_path(self, tmp_path):
+        with pytest.raises(DataError, match=re.escape(f"{tmp_path}: cannot open: Is a directory")):
+            load_json_object(tmp_path, "config")
+        with pytest.raises(DataError, match="nope.json: cannot open: No such file"):
+            load_json_object(tmp_path / "nope.json", "config")
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"caf\xe9": 1}')
+        with pytest.raises(DataError, match="c.json: not UTF-8 text: cannot decode byte 0xe9"):
+            load_json_object(path, "config")
 
 
 def _unshift(z: int, k: int) -> int:

@@ -530,15 +530,20 @@ class TestCheckpoint:
         (lambda p: {**p, "generator": [1.0, 2.0]}, "network entry"),
         (lambda p: {**p, "generator": {**p["generator"], "params": ["x"] * len(
             p["generator"]["params"])}}, "must be numbers"),
+        (lambda p: None, "cannot open: Is a directory"),
     ], ids=["list", "not-json", "no-sha256", "unknown-config-key", "bad-config-value",
-            "non-integer-seed", "v2", "network-not-an-object", "non-numeric-params"])
+            "non-integer-seed", "v2", "network-not-an-object", "non-numeric-params", "directory"])
     def test_malformed_checkpoint_rejected_naming_the_file(self, tmp_path, edit, message):
         model, ds = fitted_toy_model(epochs=1)
         path = tmp_path / "model.json"
         model.save(path)
         edited = edit(json.loads(path.read_text(encoding="utf-8")))
-        path.write_text(edited if isinstance(edited, str) else json.dumps(edited),
-                        encoding="utf-8")
+        if edited is None:  # the checkpoint path names a directory
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_text(edited if isinstance(edited, str) else json.dumps(edited),
+                            encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(str(path)) + ".*" + message):
             ConvGeNModel.load(path, ds)
 
