@@ -28,7 +28,7 @@ from .classifiers import (
     LogisticRegressionClassifier,
 )
 from .data import (DataError, Dataset, FoldPlan, load_csv, load_json_object, load_synthetic_csv,
-                   require_int, stratified_kfold)
+                   make_dir, open_text, require_int, stratified_kfold)
 from .metrics import cohen_kappa, confusion, f1_minority
 from .model import ConvGeNConfig, ConvGeNModel
 from .rng import derive_seed
@@ -42,7 +42,11 @@ class DatasetSpec:
     name: str
 
     def load(self) -> Dataset:
-        return load_csv(self.path, self.label_column, self.minority_label, name=self.name)
+        ds = load_csv(self.path, self.label_column, self.minority_label, name=self.name)
+        if ds.minority_count > ds.majority_count:
+            raise DataError(f"{self.path}: minority_label {self.minority_label!r} names the "
+                            f"larger class ({ds.minority_count} rows against {ds.majority_count})")
+        return ds
 
 
 @dataclass(frozen=True)
@@ -365,12 +369,8 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1,
         for name in datasets
     }
 
-    units = [
-        (cfg, datasets[d.name], plans[d.name], ovs, shuffle)
-        for d in cfg.datasets
-        for ovs in cfg.oversamplers
-        for shuffle in range(cfg.n_shuffles)
-    ]
+    units = [(cfg, datasets[d.name], plans[d.name], ovs, shuffle) for d in cfg.datasets
+             for ovs in cfg.oversamplers for shuffle in range(cfg.n_shuffles)]
     # Cell entries keyed in config order; units run (and map returns them) in
     # (dataset, oversampler, shuffle) order, so each list ends up in
     # (shuffle, fold) order.
@@ -402,12 +402,8 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1,
         if ok:
             f1s = np.array([e["f1"] for e in ok])
             kappas = np.array([e["kappa"] for e in ok])
-            cell.update(
-                f1_mean=float(f1s.mean()),
-                f1_std=float(f1s.std(ddof=0)),
-                kappa_mean=float(kappas.mean()),
-                kappa_std=float(kappas.std(ddof=0)),
-            )
+            cell.update(f1_mean=float(f1s.mean()), f1_std=float(f1s.std(ddof=0)),
+                        kappa_mean=float(kappas.mean()), kappa_std=float(kappas.std(ddof=0)))
         cells.append(cell)
 
     report = {"config": asdict(cfg), "fold_indices": fold_indices, "cells": cells}
@@ -479,19 +475,16 @@ def report_to_markdown(report: dict) -> str:
 
 def emit_report(report: dict, timings: dict, out_dir) -> dict:
     """Write report.json, timings.json, means.csv and report.md; returns paths."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "raw": os.path.join(out_dir, "report.json"),
-        "timings": os.path.join(out_dir, "timings.json"),
-        "csv": os.path.join(out_dir, "means.csv"),
-        "markdown": os.path.join(out_dir, "report.md"),
+    files = {
+        "raw": ("report.json", dump_report(report)),
+        "timings": ("timings.json", dump_report(timings)),
+        "csv": ("means.csv", report_to_csv(report)),
+        "markdown": ("report.md", report_to_markdown(report)),
     }
-    with open(paths["raw"], "w", encoding="utf-8") as fh:
-        fh.write(dump_report(report))
-    with open(paths["timings"], "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, sort_keys=True, indent=1)
-    with open(paths["csv"], "w", encoding="utf-8") as fh:
-        fh.write(report_to_csv(report))
-    with open(paths["markdown"], "w", encoding="utf-8") as fh:
-        fh.write(report_to_markdown(report))
+    make_dir(out_dir)
+    paths = {}
+    for key, (name, text) in files.items():
+        paths[key] = os.path.join(out_dir, name)
+        with open_text(paths[key], "w") as fh:
+            fh.write(text)
     return paths

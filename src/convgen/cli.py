@@ -9,7 +9,7 @@ import click
 
 from .bench import (BenchmarkConfig, emit_report, load_report, report_to_csv, report_to_markdown,
                     run_benchmark)
-from .data import DataError, load_csv, load_synthetic_csv
+from .data import DataError, load_csv, load_synthetic_csv, open_text
 from .pca import pca_project
 
 
@@ -64,12 +64,10 @@ def pca(dataset_path, label_col, minority_label, synthetic_path, out_path) -> No
     dataset = load_csv(dataset_path, label_col, minority_label)
     synthetic = load_synthetic_csv(synthetic_path, dataset.n_features)
     projection = pca_project(dataset.features, synthetic)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("set,x,y\n")
-        for x, y in projection.real:
-            fh.write(f"real,{float(x)!r},{float(y)!r}\n")
-        for x, y in projection.synthetic:
-            fh.write(f"synthetic,{float(x)!r},{float(y)!r}\n")
+    rows = [("real", p) for p in projection.real] + [("synthetic", p) for p in projection.synthetic]
+    text = "set,x,y\n" + "".join(f"{tag},{float(x)!r},{float(y)!r}\n" for tag, (x, y) in rows)
+    with open_text(out_path, "w") as fh:
+        fh.write(text)
     frac = projection.explained_fraction
     click.echo(f"explained variance fractions: {frac[0]:.4f}, {frac[1]:.4f}")
     click.echo(f"wrote {out_path}")
@@ -82,10 +80,7 @@ def pca(dataset_path, label_col, minority_label, synthetic_path, out_path) -> No
 def report(raw_path, fmt) -> None:
     """Re-render a raw report dump as a Markdown or CSV table."""
     raw = load_report(raw_path)
-    if fmt == "md":
-        click.echo(report_to_markdown(raw), nl=False)
-    else:
-        click.echo(report_to_csv(raw), nl=False)
+    click.echo(report_to_markdown(raw) if fmt == "md" else report_to_csv(raw), nl=False)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -79,11 +80,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @contextmanager
-def open_text(path, newline=None):
-    """`path` opened as UTF-8 text for reading. A file that cannot be opened,
-    or a byte read from it that is not UTF-8, raises a DataError naming it."""
+def open_text(path, mode="r", newline=None):
+    """`path` opened as UTF-8 text, to read or (mode "w") to write; its directory must exist.
+    A file that cannot be opened, or a byte read that is not UTF-8, raises a DataError naming it."""
     try:
-        fh = open(path, newline=newline, encoding="utf-8")
+        fh = open(path, mode, newline=newline, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from None
     with fh:
@@ -92,6 +93,14 @@ def open_text(path, newline=None):
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: cannot decode byte "
                             f"0x{exc.object[exc.start]:02x}") from None
+
+
+def make_dir(path) -> None:
+    """Create directory `path` and its parents unless it exists; a fault is a DataError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot create directory: {exc.strerror or exc}") from None
 
 
 def load_json_object(path, what: str) -> dict:
@@ -106,6 +115,14 @@ def load_json_object(path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise DataError(f"{path}: {what} is a JSON {type(raw).__name__}, not an object")
     return raw
+
+
+def _lines(reader):
+    """Each row of a csv.reader with the physical line it starts on."""
+    start = reader.line_num + 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
 
 
 def _numeric_rows(path, rows, columns, label_idx=None) -> tuple[np.ndarray, list]:
@@ -158,7 +175,7 @@ def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Da
         if label_column not in header:
             raise DataError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column)
-        features, labels = _numeric_rows(path, enumerate(reader, start=2),
+        features, labels = _numeric_rows(path, _lines(reader),
                                          header[:label_idx] + header[label_idx + 1:], label_idx)
     if not labels:
         raise DataError(f"{path}: no data rows")
@@ -173,7 +190,7 @@ def load_synthetic_csv(path, n_features: int) -> np.ndarray:
     dataset. A first row with a non-numeric cell is a header naming the
     columns; without one, a fault names a column by its position from 1."""
     with open_text(path, newline="") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1) if row]
+        rows = [(lineno, row) for lineno, row in _lines(csv.reader(fh)) if row]
     columns = [str(i) for i in range(1, n_features + 1)]
     if rows and len(rows[0][1]) == n_features:
         try:

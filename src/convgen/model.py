@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nn
-from .data import DataError, Dataset, load_json_object, require_int
+from .data import DataError, Dataset, load_json_object, open_text, require_int
 from .neighborhood import knn_minority, majority_neighborhoods
 from .rng import derive_seed
 
@@ -400,7 +400,7 @@ class ConvGeNModel:
             "generator": _dump_network(self.generator.net),
             "discriminator": _dump_network(self.discriminator),
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_text(path, "w") as fh:  # streamed: a checkpoint can hold 20M parameters
             json.dump(payload, fh, sort_keys=True, indent=1)
 
     @staticmethod

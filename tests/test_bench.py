@@ -26,7 +26,7 @@ from convgen.bench import (
     run_fold,
 )
 from convgen.classifiers import DiscriminatorClassifier, KNNClassifier
-from convgen.data import DataError, Dataset, stratified_kfold
+from convgen.data import DataError, Dataset, load_csv, stratified_kfold
 from convgen.metrics import cohen_kappa, confusion, f1_minority
 from convgen.model import ConvGeNModel
 from convgen.rng import derive_seed
@@ -625,6 +625,24 @@ class TestRunBenchmark:
             assert cell["f1_std"] == pytest.approx(np.std(f1s))
             assert "_seconds" not in json.dumps(cell)
         assert len(timings["cells"]) == len(report["cells"])
+
+    def test_minority_label_of_the_larger_class_stops_the_load(self, toy_csv, tmp_path,
+                                                                monkeypatch):
+        import convgen.bench as bench
+
+        ran = []
+        monkeypatch.setattr(bench, "run_fold", lambda *args: ran.append(args))
+        cfg = BenchmarkConfig((DatasetSpec(toy_csv, "cls", "neg", "toy"),),
+                              (Spec("rep", "repeater"),), (Spec("knn", "knn"),), n_folds=2)
+        with pytest.raises(DataError, match=re.escape(
+                f"{toy_csv}: minority_label 'neg' names the larger class (40 rows against 8)")):
+            run_benchmark(cfg)
+        assert not ran
+        # library loads (and `bench pca`) take either class; equal classes pass the check
+        assert load_csv(toy_csv, "cls", "neg").minority_count == 40
+        even = tmp_path / "even.csv"
+        write_toy_csv(even, n_majority=8, n_minority=8)
+        assert DatasetSpec(str(even), "cls", "neg", "even").load().minority_count == 8
 
     def test_raw_dump_is_deterministic(self, toy_csv):
         cfg = toy_config(toy_csv, [Spec("rep", "repeater")],

@@ -174,6 +174,14 @@ class TestRunCommand:
         assert_one_line_usage_error(result, f"{tmp_path}: cannot open: Is a directory")
         assert not (tmp_path / "out").exists()
 
+    def test_out_under_a_regular_file_is_a_one_line_usage_error(self, tmp_path):
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        out_dir = csv_path / "sub"
+        result = CliRunner().invoke(main, ["run", "--config", str(make_config(tmp_path, csv_path)),
+                                           "--out", str(out_dir)])
+        assert_one_line_usage_error(result, f"{out_dir}: cannot create directory: Not a directory")
+
 
 class TestPcaCommand:
     def test_projection_csv(self, tmp_path):
@@ -216,6 +224,18 @@ class TestPcaCommand:
         ])
         assert_one_line_usage_error(result, message)
         assert not out.exists()
+
+    def test_out_under_a_regular_file_is_a_one_line_usage_error(self, tmp_path):
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        syn = tmp_path / "syn.csv"
+        syn.write_text("1,2\n", encoding="utf-8")
+        out = csv_path / "x.csv"
+        result = CliRunner().invoke(main, [
+            "pca", "--dataset", str(csv_path), "--label-col", "cls",
+            "--minority-label", "pos", "--synthetic", str(syn), "--out", str(out),
+        ])
+        assert_one_line_usage_error(result, f"{out}: cannot open: Not a directory")
 
 
 class TestReportCommand:

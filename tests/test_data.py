@@ -1,12 +1,16 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import convgen
 from convgen.baselines import Gan
-from convgen.data import DataError, Dataset, load_csv, load_json_object, stratified_kfold
+from convgen.data import (DataError, Dataset, load_csv, load_json_object, load_synthetic_csv,
+                          stratified_kfold)
 from convgen.rng import MASK64, shuffle, splitmix64
 
 from conftest import reference_shuffle
@@ -95,6 +99,13 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "f.csv", "a,b,y\n1,2,1\n3,4,0\n5,6,0\n7,0\n8,oops,0\n")
         with pytest.raises(DataError, match=r"f\.csv:5: expected 3 cells, got 2"):
             load_csv(path, "y", "1")
+        # a quoted cell holding a newline: rows are named by the line they start on
+        path = write_csv(tmp_path / "ml.csv", 'a,b,cls\n"1\n",2,pos\n3,4,neg\n5,x,neg\n')
+        with pytest.raises(DataError, match=r"ml\.csv:5: non-numeric value 'x' in column 'b'"):
+            load_csv(path, "cls", "pos")
+        path = write_csv(tmp_path / "mls.csv", '"1\n",2\n5,x\n')
+        with pytest.raises(DataError, match=r"mls\.csv:3: non-numeric value 'x' in column '2'"):
+            load_synthetic_csv(path, 2)
 
     def test_missing_file_names_the_path(self, tmp_path):
         path = str(tmp_path / "nope.csv")
@@ -141,6 +152,20 @@ class TestLoadJsonObject:
         path.write_bytes(b'{"caf\xe9": 1}')
         with pytest.raises(DataError, match="c.json: not UTF-8 text: cannot decode byte 0xe9"):
             load_json_object(path, "config")
+
+
+def test_only_data_opens_files_or_makes_directories():
+    """Every file convgen reads or writes, and its output directory, go
+    through `data`, so one rule decides how an I/O fault reads."""
+    calls = []
+    for path in sorted(Path(convgen.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = ast.unparse(node.func)
+                if func in ("open", "os.makedirs"):
+                    calls.append((path.name, func))
+    assert {name for name, _ in calls} == {"data.py"}, calls
+    assert {func for _, func in calls} == {"open", "os.makedirs"}
 
 
 def _unshift(z: int, k: int) -> int:

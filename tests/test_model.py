@@ -484,6 +484,14 @@ class TestCheckpoint:
         restored.save(second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_save_under_a_regular_file_names_the_path(self, tmp_path):
+        model, _ = fitted_toy_model(epochs=1)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        path = blocker / "model.json"
+        with pytest.raises(DataError, match=re.escape(f"{path}: cannot open: Not a directory")):
+            model.save(path)
+
     def test_restored_model_generates_identically(self, tmp_path):
         model, ds = fitted_toy_model(epochs=2)
         path = tmp_path / "model.json"
