@@ -76,8 +76,9 @@ def _check_spec(kinds: dict, spec: Spec) -> None:
     if unknown:
         raise DataError(f"unknown key(s) {unknown}")
     for key, what in (("path", "a synthetic rows file"), ("dir", "a predictions directory")):
-        if key in kinds[spec.kind] and key not in spec.params:
-            raise DataError(f"needs {what}, key {key!r}")
+        if key in kinds[spec.kind] and not isinstance(spec.params.get(key), str):
+            got = f" as a string, got {spec.params[key]!r}" if key in spec.params else ""
+            raise DataError(f"needs {what}, key {key!r}{got}")
     for key in sorted({"k", "epochs"}.intersection(spec.params)):
         require_int(key, spec.params[key], 1)
     if spec.kind == "convgen":
@@ -87,7 +88,7 @@ def _check_spec(kinds: dict, spec: Spec) -> None:
 def _convgen_config(params: dict, seed: int) -> ConvGeNConfig:
     """A convgen spec's settings: its preset (the defaults without one) under its knobs."""
     knobs = {key: value for key, value in params.items() if key != "preset"}
-    base = ConvGeNConfig.preset(params["preset"]) if params.get("preset") else ConvGeNConfig()
+    base = ConvGeNConfig.preset(params["preset"]) if "preset" in params else ConvGeNConfig()
     return replace(base, seed=seed, **knobs)
 
 

@@ -9,7 +9,7 @@ import click
 
 from .bench import (BenchmarkConfig, emit_report, load_report, report_to_csv, report_to_markdown,
                     run_benchmark)
-from .data import DataError, load_csv, load_synthetic_csv, open_text
+from .data import DataError, load_csv, load_synthetic_csv, make_dir, open_text
 from .pca import pca_project
 
 
@@ -43,6 +43,9 @@ def run(config_path, out_dir, seed, jobs) -> None:
         click.echo(f"  {ds} / {ovs} / shuffle {shuffle}: {seconds:.1f}s")
 
     cfg = BenchmarkConfig.from_json(config_path, seed_override=seed)
+    for spec in cfg.datasets:  # a bad dataset must not leave an `out` directory behind
+        spec.load()
+    make_dir(out_dir)  # before the grid runs, so an `out` that cannot be made loses no work
     report, timings = run_benchmark(cfg, jobs=jobs, progress=progress)
     paths = emit_report(report, timings, out_dir)
     failed = [c for c in report["cells"] if c["status"] != "ok"]

@@ -82,7 +82,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @contextmanager
 def open_text(path, mode="r", newline=None):
     """`path` opened as UTF-8 text, to read or (mode "w") to write; its directory must exist.
-    A file that cannot be opened, or a byte read that is not UTF-8, raises a DataError naming it."""
+    A file that cannot be opened, or a byte read that is not UTF-8, raises a DataError naming it.
+    `path` must be a str or os.PathLike: `open` takes an int as a file descriptor to close."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise DataError(f"{path!r}: not a file path")
     try:
         fh = open(path, mode, newline=newline, encoding="utf-8")
     except OSError as exc:

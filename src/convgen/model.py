@@ -10,13 +10,12 @@ passes per epoch, then one combined pass that updates the generator
 through the frozen discriminator with an MSE objective on the labels.
 
 Every pass draws all its steps' minority shuffles and majority choices up
-front (`_draws`), in the order a per-step loop would draw them; no draw
-depends on the weights. The generator is frozen during a
-discriminator-only pass, so it runs once over stacks of that pass's
-neighborhoods (`Generator.forward_stack`, bitwise equal to
-`Generator.forward` on each) before the discriminator trains step by step
-on the assembled batches. Both generator methods run the same network
-layers.
+front (`_draws`, two (n_min, neb, f) arrays) in the order a per-step loop
+would draw them; no draw depends on the weights. Where the generator is
+frozen, in the discriminator-only passes and in `generate`, it runs over
+stacks of neighborhoods (`_frozen`: `Generator.forward_stack`, bitwise
+equal to `Generator.forward` on each); only the combined pass, which
+backpropagates through it, runs `Generator.forward`.
 """
 
 from __future__ import annotations
@@ -241,31 +240,36 @@ class ConvGeNModel:
 
     # -- batch assembly --------------------------------------------------
 
-    def _minority_batch(self, x_pos: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Shuffled neighborhood of minority point x_pos: (row ids, rows)."""
+    def _neighborhood_ids(self, x_pos: int, rng) -> np.ndarray:
+        """Row ids of minority point x_pos's neighborhood, shuffled by rng."""
         positions = self._neighbors[x_pos].copy()
         rng.shuffle(positions)
-        row_ids = self.dataset.minority_indices[positions]
-        return row_ids, self.dataset.features[row_ids]
+        return self.dataset.minority_indices[positions]
 
-    def _majority_batch(self, x_pos: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        if self.config.maj_proximal:
-            pool = self._maj_neigh[x_pos]
-        else:
-            pool = self.dataset.majority_indices
-        replace = len(pool) < self._neb
-        chosen = rng.choice(pool, size=self._neb, replace=replace)
-        return chosen, self.dataset.features[chosen]
+    def _draws(self) -> tuple[np.ndarray, np.ndarray]:
+        """One pass's minority neighborhoods and majority batches, two
+        (n_min, neb, f) arrays, drawn in the RNG order of a per-step loop:
+        each point's neighborhood shuffle, then its majority choice."""
+        min_ids = np.empty((self.dataset.minority_count, self._neb), dtype=np.intp)
+        maj_ids = np.empty_like(min_ids)
+        for x_pos in range(len(min_ids)):
+            min_ids[x_pos] = self._neighborhood_ids(x_pos, self._rng)
+            pool = (self._maj_neigh[x_pos] if self.config.maj_proximal
+                    else self.dataset.majority_indices)
+            maj_ids[x_pos] = self._rng.choice(pool, size=self._neb, replace=len(pool) < self._neb)
+        return self.dataset.features[min_ids], self.dataset.features[maj_ids]
+
+    def _frozen(self, neighborhoods: np.ndarray):
+        """The frozen generator over an (S, neb, f) stack of neighborhoods:
+        yields (start, K, C) per chunk of at most STACK_ELEMENTS elements."""
+        # the largest arrays of a chunk: K, and the convolution's products of
+        # at most neb windows times the kernel
+        per_neighborhood = self._neb * max(self._neb, self.generator.net.layers[0].w.size)
+        size = max(1, STACK_ELEMENTS // per_neighborhood)
+        for start in range(0, len(neighborhoods), size):
+            yield (start, *self.generator.forward_stack(neighborhoods[start:start + size]))
 
     # -- training steps --------------------------------------------------
-
-    def _draws(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """One pass's (minority neighborhood rows, majority rows) per minority
-        point, drawn in the RNG order of a per-step loop."""
-        return [
-            (self._minority_batch(x_pos, self._rng)[1], self._majority_batch(x_pos, self._rng)[1])
-            for x_pos in range(self.dataset.minority_count)
-        ]
 
     def discriminator_step(self, concat: np.ndarray) -> float:
         """One Algorithm-2 step: train D once on BCE over a (2 neb, f) batch,
@@ -277,21 +281,12 @@ class ConvGeNModel:
 
     def _discriminator_pass(self) -> list[float]:
         """One D-only pass over the minority points; returns the step losses.
-
-        G, frozen, runs on stacks of the drawn neighborhoods; then D trains
-        on each step's batch in turn.
-        """
-        min_rows, maj_rows = zip(*self._draws())
-        n_min, neb = len(min_rows), self._neb
-        concat = np.empty((n_min, 2 * neb, self.dataset.n_features))
-        concat[:, neb:] = maj_rows
-        # the largest arrays of a stack: K, and the convolution's products of
-        # at most neb windows times the kernel
-        per_neighborhood = max(neb * neb, neb * self.generator.net.layers[0].w.size)
-        size = max(1, STACK_ELEMENTS // per_neighborhood)
-        for start in range(0, n_min, size):
-            stack = np.stack(min_rows[start:start + size])
-            concat[start:start + len(stack), :neb] = self.generator.forward_stack(stack)[1]
+        G, frozen, runs on stacks of the drawn neighborhoods, then D trains on
+        each step's batch in turn."""
+        min_rows, maj_rows = self._draws()
+        concat = np.concatenate([np.empty_like(min_rows), maj_rows], axis=1)
+        for start, _, c in self._frozen(min_rows):
+            concat[start:start + len(c), :self._neb] = c
         return [self.discriminator_step(batch) for batch in concat]
 
     def _combined_pass(self) -> list[float]:
@@ -299,7 +294,7 @@ class ConvGeNModel:
         trains once, then G updates through the frozen D against the MSE
         objective."""
         losses = []
-        for min_rows, maj_rows in self._draws():
+        for min_rows, maj_rows in zip(*self._draws()):
             concat = np.vstack([self.generator.forward(min_rows)[1], maj_rows])
             self.discriminator_step(concat)
             loss, grad = nn.loss("mse", self.discriminator.forward(concat), self._labels)
@@ -344,27 +339,18 @@ class ConvGeNModel:
             raise DataError("model is not fitted")
 
     def generate(self, n_synthetic: int) -> list[SyntheticBatch]:
-        """Round-robin over minority neighborhoods until n_synthetic rows."""
+        """Round-robin over minority neighborhoods until n_synthetic rows:
+        neb rows from each, fewer from the last."""
         self._require_fitted()
-        remaining = require_int("n_synthetic", n_synthetic, 0)
+        n = require_int("n_synthetic", n_synthetic, 0)
         rng = np.random.default_rng(derive_seed(self.config.seed, "generate"))
-        batches: list[SyntheticBatch] = []
-        x_pos = 0
-        n_min = self.dataset.minority_count
-        while remaining > 0:
-            min_ids, min_rows = self._minority_batch(x_pos % n_min, rng)
-            k, samples = self.generator.forward(min_rows)
-            take = min(remaining, len(samples))
-            batches.append(
-                SyntheticBatch(
-                    samples=samples[:take],
-                    source_neighborhood=min_ids,
-                    coefficients=k[:, :take],
-                )
-            )
-            remaining -= take
-            x_pos += 1
-        return batches
+        ids = np.array([self._neighborhood_ids(b % self.dataset.minority_count, rng)
+                        for b in range(-(-n // self._neb))], dtype=np.intp).reshape(-1, self._neb)
+        # batch b holds rows b neb .. (b + 1) neb of the n; a slice stops at neb
+        return [SyntheticBatch(samples=c[:n - b * self._neb], source_neighborhood=ids[b],
+                               coefficients=k[:, :n - b * self._neb])
+                for start, ks, cs in self._frozen(self.dataset.features[ids])
+                for b, (k, c) in enumerate(zip(ks, cs), start)]
 
     def synthetic_rows(self, n_synthetic: int) -> np.ndarray:
         batches = self.generate(n_synthetic)

@@ -3,7 +3,7 @@ import pytest
 
 from convgen.baselines import Gan, interpolation_sample, repeater_sample
 from convgen.data import DataError, load_synthetic_csv
-from tests.conftest import two_blob_dataset
+from conftest import two_blob_dataset
 
 
 class TestRepeater:

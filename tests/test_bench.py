@@ -167,6 +167,17 @@ class TestConfig:
                                             r"rows file, key 'path'"):
             build_config(oversampler=Spec("ff", "from-file"))
 
+    @pytest.mark.parametrize("value", [True, 2, None, ["rows.csv"]])
+    def test_non_string_path_or_dir_rejected_on_load(self, build_config, value):
+        with pytest.raises(DataError, match=r"from-file 'ff' in oversamplers: needs a synthetic "
+                                            r"rows file, key 'path' as a string, got "
+                                            + re.escape(repr(value))):
+            build_config(oversampler=Spec("ff", "from-file", {"path": value}))
+        with pytest.raises(DataError, match=r"external 'ext' in classifiers: needs a predictions "
+                                            r"directory, key 'dir' as a string, got "
+                                            + re.escape(repr(value))):
+            build_config(classifier=Spec("ext", "external", {"dir": value}))
+
     def test_external_without_dir_rejected_on_load(self, build_config):
         with pytest.raises(DataError, match=r"external 'ext' in classifiers: needs a "
                                             r"predictions directory, key 'dir'"):
@@ -335,6 +346,11 @@ class TestOversampleFold:
         ("k_prime", 1.5),
         ("preset", "6,maj"),
         ("preset", ["5,maj"]),
+        ("preset", None),  # a falsy preset is refused, not read as "no preset"
+        ("preset", ""),
+        ("preset", 0),
+        ("preset", False),
+        ("preset", []),
     ])
     def test_convgen_value_types_rejected(self, build_config, key, value):
         # k_prime is no longer a setting: any value of it is refused as an unknown key

@@ -13,7 +13,7 @@ from convgen.classifiers import (
 )
 from convgen.data import DataError, load_csv, stratified_kfold
 from convgen.model import ConvGeNConfig, ConvGeNModel
-from tests.conftest import two_blob_dataset
+from conftest import two_blob_dataset
 
 
 def repeater_fold(path):

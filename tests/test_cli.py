@@ -174,13 +174,18 @@ class TestRunCommand:
         assert_one_line_usage_error(result, f"{tmp_path}: cannot open: Is a directory")
         assert not (tmp_path / "out").exists()
 
-    def test_out_under_a_regular_file_is_a_one_line_usage_error(self, tmp_path):
+    def test_out_under_a_regular_file_is_a_one_line_usage_error(self, tmp_path, monkeypatch):
+        import convgen.bench as bench
+
+        ran = []  # `out` is made before the grid runs: no fold's work is thrown away
+        monkeypatch.setattr(bench, "run_fold", lambda *args: ran.append(args) or {})
         csv_path = tmp_path / "toy.csv"
         write_toy_csv(csv_path)
         out_dir = csv_path / "sub"
         result = CliRunner().invoke(main, ["run", "--config", str(make_config(tmp_path, csv_path)),
-                                           "--out", str(out_dir)])
+                                           "--out", str(out_dir), "--jobs", "1"])
         assert_one_line_usage_error(result, f"{out_dir}: cannot create directory: Not a directory")
+        assert ran == []
 
 
 class TestPcaCommand:

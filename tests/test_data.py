@@ -1,4 +1,5 @@
 import ast
+import os
 import re
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import convgen
 from convgen.baselines import Gan
 from convgen.data import (DataError, Dataset, load_csv, load_json_object, load_synthetic_csv,
-                          stratified_kfold)
+                          open_text, stratified_kfold)
 from convgen.rng import MASK64, shuffle, splitmix64
 
 from conftest import reference_shuffle
@@ -152,6 +153,15 @@ class TestLoadJsonObject:
         path.write_bytes(b'{"caf\xe9": 1}')
         with pytest.raises(DataError, match="c.json: not UTF-8 text: cannot decode byte 0xe9"):
             load_json_object(path, "config")
+
+
+@pytest.mark.parametrize("path", [1, True, b"x.csv", None])
+def test_open_text_refuses_a_path_that_is_not_a_str_or_path_like(path):
+    # the builtin open would take 1 (and True) as file descriptor 1 and close it
+    with pytest.raises(DataError, match=re.escape(f"{path!r}: not a file path")):
+        with open_text(path):
+            pass
+    os.fstat(1)  # stdout is still open
 
 
 def test_only_data_opens_files_or_makes_directories():

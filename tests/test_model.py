@@ -20,7 +20,7 @@ from convgen.model import (
     check_simplex,
     TrainingError,
 )
-from tests.conftest import two_blob_dataset
+from conftest import two_blob_dataset
 
 
 def fitted_toy_model(neb=5, seed=3, epochs=10, **kwargs):
@@ -230,17 +230,19 @@ class TestDiscriminatorStep:
     def test_batches_and_training_effect(self):
         model, ds = fitted_toy_model(epochs=0)
         neb = model.generator.neb
-        draws = model._draws()
-        assert len(draws) == ds.minority_count
+        min_stack, maj_stack = model._draws()
+        assert min_stack.shape == maj_stack.shape == (ds.minority_count, neb, ds.n_features)
         minority = {tuple(row) for row in ds.features[ds.minority_indices]}
         majority = {tuple(row) for row in ds.features[ds.majority_indices]}
-        for min_rows, maj_rows in draws:
-            assert min_rows.shape == maj_rows.shape == (neb, ds.n_features)
-            assert {tuple(row) for row in min_rows} <= minority
-            assert {tuple(row) for row in maj_rows} <= majority
+        assert {tuple(row) for row in min_stack.reshape(-1, ds.n_features)} <= minority
+        assert {tuple(row) for row in maj_stack.reshape(-1, ds.n_features)} <= majority
+        # each point's neighborhood is its own k-NN rows, shuffled
+        for x_pos, rows in enumerate(min_stack):
+            own = ds.features[ds.minority_indices[model._neighbors[x_pos]]]
+            assert sorted(map(tuple, rows)) == sorted(map(tuple, own))
         before = model.discriminator.layers[0].w.copy()
-        min_rows, maj_rows = draws[0]
-        loss = model.discriminator_step(np.vstack([model.generator.forward(min_rows)[1], maj_rows]))
+        loss = model.discriminator_step(
+            np.vstack([model.generator.forward(min_stack[0])[1], maj_stack[0]]))
         assert np.isfinite(loss)
         assert not np.array_equal(before, model.discriminator.layers[0].w)
 
@@ -248,18 +250,20 @@ class TestDiscriminatorStep:
         ds = two_blob_dataset(seed=8, n_majority=6, n_minority=8)
         cfg = ConvGeNConfig(neb=8, maj_proximal=True, neb_epochs=0, seed=1)
         model = ConvGeNModel(cfg).fit(ds)
-        maj_ids, maj_rows = model._majority_batch(0, model._rng)
+        _, maj_stack = model._draws()
         # pool smaller than gen: sampling with replacement from all majority rows
-        assert set(maj_ids) <= set(ds.majority_indices)
-        assert len(maj_ids) == 8
-        assert np.array_equal(maj_rows, ds.features[maj_ids])
+        majority = {tuple(row) for row in ds.features[ds.majority_indices]}
+        assert maj_stack.shape == (8, 8, 2)
+        for rows in maj_stack:
+            batch = {tuple(row) for row in rows}
+            assert batch <= majority and len(batch) < 8  # 8 draws from 6 rows repeat one
 
     def test_loss_trends_down_on_separable_data(self):
         ds = two_blob_dataset(seed=9, separation=6.0)
         cfg = ConvGeNConfig(neb=5, neb_epochs=0, seed=2)
         model = ConvGeNModel(cfg).fit(ds)
         batches = [np.vstack([model.generator.forward(min_rows)[1], maj_rows])
-                   for min_rows, maj_rows in model._draws()]
+                   for min_rows, maj_rows in zip(*model._draws())]
         losses = [model.discriminator_step(batches[i % len(batches)]) for i in range(50)]
         smoothed = np.convolve(losses, np.ones(10) / 10, mode="valid")
         assert smoothed[-1] < smoothed[0]
@@ -310,9 +314,12 @@ def per_step_fit(model, dataset):
     neb = model.generator.neb
 
     def step(x_pos):
-        min_ids, min_rows = model._minority_batch(x_pos, model._rng)
-        _, conv_samples = model.generator.forward(min_rows)
-        _, maj_rows = model._majority_batch(x_pos, model._rng)
+        positions = model._neighbors[x_pos].copy()
+        model._rng.shuffle(positions)
+        min_ids = dataset.minority_indices[positions]
+        _, conv_samples = model.generator.forward(dataset.features[min_ids])
+        pool = model._maj_neigh[x_pos] if model.config.maj_proximal else dataset.majority_indices
+        maj_rows = dataset.features[model._rng.choice(pool, size=neb, replace=len(pool) < neb)]
         concat = np.vstack([conv_samples, maj_rows])
         return min_ids, concat, model.discriminator_step(concat)
 
@@ -425,6 +432,42 @@ class TestGenerate:
             mean_coeff = batch.coefficients.mean(axis=1)
             assert np.max(np.abs(batch.samples.mean(axis=0) - mean_coeff @ rows)) < 1e-9
 
+    # none, 4 neb and 4 neb + 3 rows, at most 2 neighborhoods per stack
+    @pytest.mark.parametrize("n_synthetic,stack_sizes", [(0, []), (20, [2, 2]),
+                                                         (23, [2, 2, 1])])
+    def test_matches_a_loop_of_per_neighborhood_forwards_bitwise(self, monkeypatch,
+                                                                 n_synthetic, stack_sizes):
+        import convgen.model as model_mod
+        from convgen.rng import derive_seed
+
+        model, ds = fitted_toy_model(epochs=1)
+        neb = model.generator.neb
+        # K is 25 elements, the convolution's products 5 x 6: 2 per 60
+        monkeypatch.setattr(model_mod, "STACK_ELEMENTS", 60)
+        forwards, stacks = [], []
+        original, original_stack = Generator.forward, Generator.forward_stack
+        monkeypatch.setattr(Generator, "forward",
+                            lambda self, n: forwards.append(1) or original(self, n))
+        monkeypatch.setattr(Generator, "forward_stack",
+                            lambda self, n: stacks.append(len(n)) or original_stack(self, n))
+        batches = model.generate(n_synthetic)
+        assert forwards == [] and stacks == stack_sizes
+
+        rng = np.random.default_rng(derive_seed(model.config.seed, "generate"))
+        remaining, x_pos = n_synthetic, 0
+        for batch in batches:
+            positions = model._neighbors[x_pos % ds.minority_count].copy()
+            rng.shuffle(positions)
+            ids = ds.minority_indices[positions]
+            k, c = original(model.generator, ds.features[ids])
+            take = min(remaining, neb)
+            assert batch.source_neighborhood.tolist() == ids.tolist()
+            assert batch.samples.tobytes() == c[:take].tobytes()
+            assert batch.coefficients.tobytes() == k[:, :take].tobytes()
+            remaining -= take
+            x_pos += 1
+        assert remaining == 0 and x_pos == -(-n_synthetic // neb)
+
     def test_round_robin_covers_all_neighborhoods(self):
         model, ds = fitted_toy_model(epochs=1)
         batches = model.generate(ds.minority_count * model.generator.neb)
@@ -432,7 +475,7 @@ class TestGenerate:
 
     def test_permutation_of_neighborhood_keeps_rows_in_hull(self):
         model, ds = fitted_toy_model(epochs=2)
-        ids, rows = model._minority_batch(0, np.random.default_rng(0))
+        rows = ds.features[model._neighborhood_ids(0, np.random.default_rng(0))]
         k1, c1 = model.generator.forward(rows)
         perm = np.random.default_rng(1).permutation(len(rows))
         k2, c2 = model.generator.forward(rows[perm])

@@ -15,7 +15,7 @@ import pytest
 
 from convgen.model import ConvGeNConfig, ConvGeNModel, Generator
 from convgen.nn import Conv1D, Dense, dense_network
-from tests.conftest import two_blob_dataset
+from conftest import two_blob_dataset
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
