@@ -101,6 +101,8 @@ def _spec(entry) -> Spec:
 
 
 def _dataset_spec(d) -> DatasetSpec:
+    if unknown := sorted(d.keys() - {f.name for f in fields(DatasetSpec)}):
+        raise DataError(f"has unknown key(s) {unknown}")
     name = d.get("name", os.path.splitext(os.path.basename(d["path"]))[0])
     return DatasetSpec(d["path"], d["label_column"], str(d["minority_label"]), name)
 
@@ -113,6 +115,8 @@ def _entries(raw: dict, key: str, parse) -> tuple:
             parsed.append(parse(entry))
         except KeyError as exc:
             raise DataError(f"{key}[{i}] lacks key {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{key}[{i}] {exc}") from None
         except (AttributeError, TypeError):
             raise DataError(f"{key}[{i}] is malformed: {entry!r}") from None
     return tuple(parsed)
@@ -426,7 +430,7 @@ def load_report(path) -> dict:
     cells = (raw := load_json_object(path, "report")).get("cells")
     if not isinstance(cells, list) or not all(
             isinstance(c, dict) and all(isinstance(c.get(k), str) for k in CELL_NAMES)
-            and (all(isinstance(c.get(k), (int, float)) for k in CELL_STATS)
+            and (all(type(c.get(k)) in (int, float) for k in CELL_STATS)
                  or c.keys().isdisjoint(CELL_STATS)) for c in cells):
         raise DataError(f"{path}: report cells must be objects holding string "
                         f"{', '.join(CELL_NAMES)} and all or none of {', '.join(CELL_STATS)}")

@@ -3,10 +3,10 @@ ConvGeN's retrained discriminator (DoC), and an adapter for out-of-band
 predictions.
 
 All classifiers expose fit(features, labels) / predict(features) with
-labels in {0, 1}, 1 = minority; kNN, logistic regression and DoC raise
-DataError unless the training features are 2-D, with one 1-D label per
-row, and the labels are exactly 0 and 1, both present; their predict
-raises DataError unless the features are 2-D with the fitted width.
+labels in {0, 1}, 1 = minority. kNN, logistic regression and DoC check
+their training set with `data.labelled_set` (2-D features, one 1-D label
+per row, labels exactly 0 and 1, both present) and their prediction
+features with `data.feature_matrix` (2-D, the fitted width).
 DoC trains in fit like the others: it retrains a copy of a fitted ConvGeN
 model's discriminator on the rows it is given. Predictions are
 deterministic; kNN breaks even-vote ties toward the majority class
@@ -17,30 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError, open_text, require_int
+from .data import DataError, feature_matrix, labelled_set, open_text, require_int
 from .neighborhood import ranked_neighbors
-
-
-def _training_set(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    """(float64 features, labels) of a training set: 2-D features, one
-    label per row, and the labels exactly {0, 1}, both present."""
-    x, y = np.asarray(features, dtype=np.float64), np.asarray(labels)
-    if x.ndim != 2 or y.shape != x.shape[:1]:
-        raise DataError(
-            f"training needs 2-D features and one label per row; got shapes {x.shape}, {y.shape}"
-        )
-    ones, zeros = np.count_nonzero(y == 1), np.count_nonzero(y == 0)
-    if not (ones and zeros and ones + zeros == len(y)):
-        raise DataError(f"training labels must be 0 and 1, both present; got {np.unique(y)[:5]}")
-    return x, y
-
-
-def _test_set(features, width: int) -> np.ndarray:
-    """float64 features of a prediction: 2-D, `width` columns as fitted."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise DataError(f"features must be (rows, {width}), got shape {x.shape}")
-    return x
 
 
 class KNNClassifier:
@@ -52,7 +30,7 @@ class KNNClassifier:
         self._y = None
 
     def fit(self, features, labels):
-        self._x, y = _training_set(features, labels)
+        self._x, y = labelled_set(features, labels, "training")
         self._y = y.astype(int)
         return self
 
@@ -112,7 +90,7 @@ class LogisticRegressionClassifier:
         return np.divide(1.0, z, out=z)
 
     def fit(self, features, labels):
-        x, y = _training_set(features, labels)
+        x, y = labelled_set(features, labels, "training")
         y = y.astype(np.float64)
         n, f = x.shape
         # Feature-major: one contiguous row of n values per unknown, so the
@@ -171,7 +149,7 @@ class LogisticRegressionClassifier:
     def predict(self, features) -> np.ndarray:
         if self.weights is None:
             raise DataError("predict before fit")
-        x = _test_set(features, len(self.weights))
+        x = feature_matrix("features", features, len(self.weights))
         with np.errstate(over="ignore"):
             p = self._sigmoid(x @ self.weights + self.bias)
         # p == 0.5 exactly (e.g. zero weights) resolves to the majority class
@@ -186,13 +164,14 @@ class DiscriminatorClassifier:
         self.network = None
 
     def fit(self, features, labels):
-        self.network = self.model.retrain_doc(*_training_set(features, labels))
+        self.network = self.model.retrain_doc(features, labels)
         return self
 
     def predict(self, features) -> np.ndarray:
         if self.network is None:
             raise DataError("predict before fit")
-        probs = self.network.forward(_test_set(features, self.model.dataset.n_features))
+        x = feature_matrix("features", features, self.model.dataset.n_features)
+        probs = self.network.forward(x)
         # output node 0 is the minority node
         return (probs[:, 0] > probs[:, 1]).astype(int)
 

@@ -1,7 +1,8 @@
-"""Dataset loading, class partitioning and stratified folds.
+"""Dataset loading, class partitioning, stratified folds and the input checks.
 
 In-memory label convention is fixed: 1 = minority, 0 = majority, whatever
-the on-disk encoding was. Features stay raw.
+the on-disk encoding was. Features stay raw. Every labelled set a caller
+hands in passes `labelled_set`, and every other feature matrix `feature_matrix`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,28 @@ def require_int(key: str, value, minimum: int) -> int:
     return int(value)
 
 
+def labelled_set(features, labels, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(float64 features, labels) of a labelled set: 2-D features, one
+    label per row, and the labels exactly {0, 1}, both present."""
+    x, y = np.asarray(features, dtype=np.float64), np.asarray(labels)
+    if x.ndim != 2 or y.shape != x.shape[:1]:
+        raise DataError(f"{what} needs 2-D features and one label per row; "
+                        f"got shapes {x.shape}, {y.shape}")
+    ones, zeros = np.count_nonzero(y == 1), np.count_nonzero(y == 0)
+    if not (ones and zeros and ones + zeros == len(y)):
+        raise DataError(f"{what}: labels must be 0 and 1, both present; got {np.unique(y)[:5]}")
+    return x, y
+
+
+def feature_matrix(what: str, values, width: int | None = None) -> np.ndarray:
+    """`values` as a float64 (rows, width) matrix; any width if `width` is None."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 2 or width not in (None, x.shape[1]):
+        raise DataError(f"{what} must be (rows, {'f' if width is None else width}), "
+                        f"got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray  # (n_samples, f) float64
@@ -36,12 +59,9 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        if self.features.ndim != 2 or len(self.labels) != self.features.shape[0]:
-            raise DataError("features/labels shape mismatch")
+        labelled_set(self.features, self.labels, f"dataset {self.name!r}")
         if not np.all(np.isfinite(self.features)):
             raise DataError("non-finite feature values")
-        if self.minority_count == 0 or self.majority_count == 0:
-            raise DataError(f"dataset {self.name!r} needs samples in both classes")
 
     @property
     def n_samples(self) -> int:
@@ -226,8 +246,8 @@ def stratified_kfold(dataset: Dataset, n_folds: int, n_shuffles: int, seed: int)
     per class and the per-fold class proportion stays within one sample of
     the global proportion.
     """
-    if n_folds < 1:
-        raise DataError("n_folds must be >= 1")
+    n_folds = require_int("n_folds", n_folds, 1)
+    n_shuffles = require_int("n_shuffles", n_shuffles, 1)
     if dataset.minority_count < n_folds:
         raise DataError(
             f"minority class ({dataset.minority_count}) smaller than n_folds ({n_folds})"

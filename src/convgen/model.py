@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import nn
-from .data import DataError, Dataset, load_json_object, open_text, require_int
+from .data import DataError, Dataset, labelled_set, load_json_object, open_text, require_int
 from .neighborhood import knn_minority, majority_neighborhoods
 from .rng import derive_seed
 
@@ -362,8 +362,8 @@ class ConvGeNModel:
         """A copy of D retrained on labelled rows (1 = minority), typically the
         training data balanced with synthetic rows; D itself is untouched."""
         self._require_fitted()
-        features = np.asarray(features)
-        targets = np.where((np.asarray(labels) == 1)[:, None], [[1.0, 0.0]], [[0.0, 1.0]])
+        features, labels = labelled_set(features, labels, "training")
+        targets = np.where((labels == 1)[:, None], [[1.0, 0.0]], [[0.0, 1.0]])
         doc = self.discriminator.clone()
         rng = np.random.default_rng(derive_seed(self.config.seed, "doc"))
         for _ in range(DOC_EPOCHS):

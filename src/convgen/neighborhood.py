@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError, Dataset, require_int
+from .data import DataError, Dataset, feature_matrix, require_int
 
 # (query, pool) pairs in one block of ranked_neighbors: the screen and the
 # recheck of a block hold arrays of at most max(BLOCK_PAIRS, n_pool) pairs
@@ -67,13 +67,6 @@ _U32 = float(np.finfo(np.float32).eps) / 2
 # Beyond these, a screened value (float32) or a distance (float64) may overflow.
 _SCREEN_MAX = float(np.finfo(np.float32).max) / 4
 _SCALE_MAX = _FLOAT.max / 4
-
-
-def _matrix(name: str, values) -> np.ndarray:
-    matrix = np.asarray(values, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise DataError(f"{name} must be 2-D, got shape {matrix.shape}")
-    return matrix
 
 
 def _row_chunks(rows: np.ndarray) -> list[slice]:
@@ -112,11 +105,9 @@ def ranked_neighbors(queries: np.ndarray, k: int, pool: np.ndarray | None = None
     bitwise those of a full stable sort of every distance.
     """
     self_query = pool is None
-    queries = _matrix("queries", queries)
-    pool = queries if self_query else _matrix("pool", pool)
+    pool = feature_matrix("queries", queries) if self_query else feature_matrix("pool", pool)
+    queries = pool if self_query else feature_matrix("queries", queries, pool.shape[1])
     k = require_int("k", k, 1)
-    if queries.shape[1] != pool.shape[1]:
-        raise DataError(f"feature width {queries.shape[1]} != fitted {pool.shape[1]}")
     n_pool, f = pool.shape
     width = min(k, n_pool)
     out = np.empty((len(queries), width), dtype=np.intp)

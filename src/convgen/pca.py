@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, feature_matrix
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,10 @@ class Projection:
 def pca_project(real: np.ndarray, synthetic: np.ndarray) -> Projection:
     """Project real (n, f) and synthetic (m, f) rows, or no synthetic rows
     when `synthetic` is empty, onto the real data's top-2 axes."""
-    real = np.asarray(real, dtype=np.float64)
-    synthetic = np.asarray(synthetic, dtype=np.float64)
-    if real.ndim != 2:
-        raise DataError(f"real rows must be 2-D, got shape {real.shape}")
-    if not synthetic.size:
+    real = feature_matrix("real rows", real)
+    if not np.size(synthetic):
         synthetic = np.empty((0, real.shape[1]))
-    if synthetic.ndim != 2 or synthetic.shape[1] != real.shape[1]:
-        raise DataError(f"synthetic rows must be (m, {real.shape[1]}), got shape {synthetic.shape}")
+    synthetic = feature_matrix("synthetic rows", synthetic, real.shape[1])
     if real.shape[1] < 2:
         raise DataError("PCA needs at least 2 features")
     if len(real) + len(synthetic) < 2:

@@ -240,9 +240,13 @@ class TestConfig:
                         "name": ["a"]}],
           "oversamplers": ["repeater"], "classifiers": ["knn"]},
          r"datasets\[0\] is malformed: non-string name=\['a'\]"),
+        ({"datasets": [{"path": "d.csv", "label_column": "label", "minority_label": "1",
+                        "sep": ";"}],
+          "oversamplers": ["repeater"], "classifiers": ["knn"]},
+         r"datasets\[0\] has unknown key\(s\) \['sep'\]"),
     ], ids=["dataset-without-label-column", "top-level-list", "oversampler-without-kind",
             "dataset-not-an-object", "classifier-not-an-object-or-string", "not-json",
-            "knn-k-zero", "list-kind", "int-name", "list-dataset-name"])
+            "knn-k-zero", "list-kind", "int-name", "list-dataset-name", "dataset-unknown-key"])
     def test_malformed_file_rejected_naming_the_file_and_entry(self, tmp_path, raw, pattern):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
@@ -729,5 +733,5 @@ class TestRendering:
         paths = emit_report(report, timings, tmp_path / "out")
         for path in paths.values():
             assert os.path.exists(path)
-        reread = json.loads(open(paths["raw"]).read())
+        reread = json.loads(Path(paths["raw"]).read_text(encoding="utf-8"))
         assert reread["cells"] == report["cells"]

@@ -116,7 +116,7 @@ class TestKnn:
 
     def test_feature_width_mismatch(self):
         clf = KNNClassifier().fit(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
-        with pytest.raises(DataError, match="feature width 3 != fitted 2"):
+        with pytest.raises(DataError, match=r"queries must be \(rows, 2\), got shape \(1, 3\)"):
             clf.predict(np.zeros((1, 3)))
 
 
@@ -254,8 +254,10 @@ class TestDiscriminatorClassifier:
 
     @pytest.mark.parametrize("labels", [[1, 2, 1, 2], [0, 0, 0, 0], [0.0, 0.5, 1.0, 1.0]])
     def test_labels_other_than_0_1_rejected(self, model, labels):
-        with pytest.raises(DataError, match="0 and 1"):
-            DiscriminatorClassifier(model).fit(np.arange(8.0).reshape(4, 2), np.array(labels))
+        # the model's own retraining refuses them too, not only the classifier
+        for fit in (DiscriminatorClassifier(model).fit, model.retrain_doc):
+            with pytest.raises(DataError, match="training: labels must be 0 and 1, both present"):
+                fit(np.arange(8.0).reshape(4, 2), np.array(labels))
 
     @pytest.mark.parametrize("features", [np.zeros((2, 4, 2)), np.zeros((4, 3)),
                                           np.zeros((4, 1)), np.zeros(2)],

@@ -288,7 +288,9 @@ class TestReportCommand:
         lambda cell: cell.update(f1_mean="0.5"),
         lambda cell: cell.pop("kappa_mean"),
         lambda cell: cell.update(kappa_std=None),
-    ], ids=["int-dataset", "null-status", "string-stat", "stat-missing", "null-stat"])
+        lambda cell: cell.update(f1_mean=True),
+    ], ids=["int-dataset", "null-status", "string-stat", "stat-missing", "null-stat",
+            "bool-stat"])
     def test_cell_the_renderers_cannot_read_is_refused(self, tmp_path, edit):
         cell = {"dataset": "d", "oversampler": "o", "classifier": "c", "status": "ok",
                 "f1_mean": 0.5, "f1_std": 0.0, "kappa_mean": 0.25, "kappa_std": 0.0}

@@ -226,6 +226,18 @@ class TestClassIndices:
                 indices[0] = 0
 
 
+@pytest.mark.parametrize("labels,message", [
+    ([0, 1, 2, 1], r"dataset 'd': labels must be 0 and 1, both present; got \[0 1 2\]"),
+    ([0, 0, 0, 0], r"dataset 'd': labels must be 0 and 1, both present; got \[0\]"),
+    ([[0], [1], [0], [1]], r"dataset 'd' needs 2-D features and one label per row; "
+                           r"got shapes \(4, 1\), \(4, 1\)"),
+    (1, r"dataset 'd' needs 2-D features and one label per row; got shapes \(4, 1\), \(\)"),
+], ids=["label-2", "one-class", "2-D-labels", "0-d-label"])
+def test_dataset_refuses_labels_other_than_one_0_or_1_per_row(labels, message):
+    with pytest.raises(DataError, match=message):
+        Dataset(np.zeros((4, 1)), np.array(labels), "d")
+
+
 class TestImbalanceRatio:
     def test_abalone_ratio(self, abalone_path):
         ds = load_csv(abalone_path, "label", "1")
@@ -310,6 +322,15 @@ class TestStratifiedKFold:
                 assert max(sizes) - min(sizes) <= 1
         again = stratified_kfold(ds, n_folds, n_shuffles, seed)
         assert np.array_equal(plan.assignments, again.assignments)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_folds", 0), ("n_folds", True), ("n_folds", 2.5),
+        ("n_shuffles", 0), ("n_shuffles", -1), ("n_shuffles", 1.0)])
+    def test_counts_must_be_positive_integers(self, toy_dataset, key, value):
+        counts = {"n_folds": 2, "n_shuffles": 1, key: value}
+        with pytest.raises(DataError, match=re.escape(f"{key} must be an integer >= 1, "
+                                                      f"got {value!r}")):
+            stratified_kfold(toy_dataset, seed=0, **counts)
 
     def test_minority_smaller_than_folds_rejected(self, toy_dataset):
         with pytest.raises(DataError, match="smaller than n_folds"):

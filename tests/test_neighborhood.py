@@ -382,17 +382,17 @@ class TestCentredScreen:
 
 class TestShapeGate:
     def test_narrower_pool_rejected(self):
-        with pytest.raises(DataError, match="feature width 3 != fitted 1"):
+        with pytest.raises(DataError, match=r"queries must be \(rows, 1\), got shape \(2, 3\)"):
             ranked_neighbors(np.zeros((2, 3)), 2, np.zeros((4, 1)))
 
-    @pytest.mark.parametrize("queries,pool", [
-        (np.zeros(3), None),
-        (np.zeros(3), np.zeros((4, 3))),
-        (np.zeros((2, 3)), np.zeros(3)),
-        (np.zeros((2, 3, 1)), None),
-    ])
-    def test_inputs_must_be_2d(self, queries, pool):
-        with pytest.raises(DataError, match="must be 2-D"):
+    @pytest.mark.parametrize("queries,pool,message", [
+        (np.zeros(3), None, r"queries must be \(rows, f\), got shape \(3,\)"),
+        (np.zeros(3), np.zeros((4, 3)), r"queries must be \(rows, 3\), got shape \(3,\)"),
+        (np.zeros((2, 3)), np.zeros(3), r"pool must be \(rows, f\), got shape \(3,\)"),
+        (np.zeros((2, 3, 1)), None, r"queries must be \(rows, f\), got shape \(2, 3, 1\)"),
+    ], ids=["queries0-None", "queries1-pool1", "queries2-pool2", "queries3-None"])
+    def test_inputs_must_be_2d(self, queries, pool, message):
+        with pytest.raises(DataError, match=message):
             ranked_neighbors(queries, 2, pool)
 
     @pytest.mark.parametrize("k", [0, -1, True, 2.0, None])
