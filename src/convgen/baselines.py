@@ -56,8 +56,8 @@ class Gan:
     """
 
     def __init__(self, n_features: int, epochs: int = 300, seed: int = 0) -> None:
-        f = n_features
-        self.epochs = epochs
+        f = require_int("n_features", n_features, 1)
+        self.epochs = require_int("epochs", epochs, 0)
         self.seed = seed
         self.noise_size = nu = 16 * f
         self.generator = nn.dense_network(

@@ -90,7 +90,9 @@ class Dataset:
         return len(self.majority_indices)
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":  # a bool mask or float ids would cast to wrong rows
+            raise DataError(f"subset takes integer row ids, got dtype {idx.dtype}")
         return Dataset(self.features[idx], self.labels[idx], self.name)
 
 

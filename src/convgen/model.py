@@ -20,18 +20,15 @@ backpropagates through it, runs `Generator.forward`.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .data import DataError, Dataset, labelled_set, load_json_object, open_text, require_int
+from .data import DataError, Dataset, labelled_set, require_int
 from .neighborhood import knn_minority, majority_neighborhoods
 from .rng import derive_seed
 
-CHECKPOINT_FORMAT = "convgen-checkpoint-v3"
-_CHECKPOINT_KEYS = ("config", "training_data_sha256", "generator", "discriminator")
 SIMPLEX_TOL = 1e-5
 # Elements in the largest array of one Generator.forward_stack call, so a
 # pass over big neighborhoods (neb="min") runs in several stacks.
@@ -374,72 +371,3 @@ class ConvGeNModel:
                 doc.backward("bce", pred, targets[sel])
                 doc.step()
         return doc
-
-    # -- checkpointing ---------------------------------------------------
-
-    def save(self, path) -> None:
-        self._require_fitted()
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "config": asdict(self.config),
-            "training_data_sha256": _fingerprint(self.dataset),
-            "generator": _dump_network(self.generator.net),
-            "discriminator": _dump_network(self.discriminator),
-        }
-        with open_text(path, "w") as fh:  # streamed: a checkpoint can hold 20M parameters
-            json.dump(payload, fh, sort_keys=True, indent=1)
-
-    @staticmethod
-    def load(path, dataset: Dataset) -> "ConvGeNModel":
-        """Restore weights; `dataset` must be the training data the model saw."""
-        payload = load_json_object(path, "checkpoint")
-        fmt = payload.get("format")
-        if fmt != CHECKPOINT_FORMAT:
-            raise DataError(
-                f"{path}: checkpoint format {fmt!r} is not {CHECKPOINT_FORMAT!r}; "
-                "retrain and save the model again"
-            )
-        missing = sorted(set(_CHECKPOINT_KEYS) - set(payload))
-        if missing:
-            raise DataError(f"{path}: checkpoint lacks {missing}")
-        if payload["training_data_sha256"] != _fingerprint(dataset):
-            raise DataError(f"{path}: checkpoint does not match this training data")
-        config = payload["config"]
-        names = {f.name for f in fields(ConvGeNConfig)}
-        if not isinstance(config, dict) or set(config) != names:
-            raise DataError(f"{path}: checkpoint config must hold exactly {sorted(names)}")
-        try:
-            model = ConvGeNModel(ConvGeNConfig(**config))
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
-        model._setup(dataset)
-        _load_network(model.generator.net, payload["generator"], path)
-        _load_network(model.discriminator, payload["discriminator"], path)
-        return model
-
-
-def _fingerprint(dataset: Dataset) -> str:
-    """sha256 of the training features (float64) and labels (int64)."""
-    import hashlib  # here, not at the top: loading it adds ~7 ms to every start-up
-
-    digest = hashlib.sha256(np.ascontiguousarray(dataset.features, np.float64).tobytes())
-    digest.update(np.ascontiguousarray(dataset.labels, np.int64).tobytes())
-    return digest.hexdigest()
-
-
-def _dump_network(net: nn.Network) -> dict:
-    return {"dtype": net.params.dtype.name, "params": net.params.tolist()}
-
-
-def _load_network(net: nn.Network, dumped, path) -> None:
-    if not (isinstance(dumped, dict) and isinstance(dumped.get("params"), list)):
-        raise DataError(f"{path}: a network entry must hold a 'dtype' and a 'params' list")
-    if dumped.get("dtype") != net.params.dtype.name or len(dumped["params"]) != net.params.size:
-        raise DataError(
-            f"{path}: checkpoint holds {len(dumped['params'])} {dumped.get('dtype')} parameters, "
-            f"the network {net.params.size} {net.params.dtype.name}"
-        )
-    try:
-        net.params[...] = dumped["params"]
-    except (TypeError, ValueError):
-        raise DataError(f"{path}: checkpoint parameters must be numbers") from None

@@ -157,6 +157,19 @@ class TestGan:
         with pytest.raises(DataError):
             Gan(2).generate(1)
 
+    @pytest.mark.parametrize("n_features,epochs,message", [
+        (0, 1, "n_features must be an integer >= 1, got 0"),
+        (-1, 1, "n_features must be an integer >= 1, got -1"),
+        (2.0, 1, "n_features must be an integer >= 1, got 2.0"),
+        (2, -1, "epochs must be an integer >= 0, got -1"),
+        (2, True, "epochs must be an integer >= 0, got True"),
+        (2, 2.5, "epochs must be an integer >= 0, got 2.5"),
+    ], ids=["zero-features", "negative-features", "float-features",
+            "negative-epochs", "bool-epochs", "float-epochs"])
+    def test_sizes_must_be_integers_in_range(self, n_features, epochs, message):
+        with pytest.raises(DataError, match=message):
+            Gan(n_features, epochs=epochs)
+
 
 class TestAlphaScaling:
     """Gan.train divides the rows by alpha = 1.1 * largest |x|, or by 1 when

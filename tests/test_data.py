@@ -226,6 +226,25 @@ class TestClassIndices:
                 indices[0] = 0
 
 
+class TestSubset:
+    ds = Dataset(np.arange(12.0).reshape(6, 2), np.array([1, 0, 0, 1, 1, 0]), "six")
+
+    @pytest.mark.parametrize("ids", [[0, 1, 4, 5], np.array([0, 1, 4, 5], np.uint8)],
+                             ids=["list", "uint8"])
+    def test_integer_ids_pick_their_rows(self, ids):
+        sub = self.ds.subset(ids)
+        assert np.array_equal(sub.features, self.ds.features[[0, 1, 4, 5]])
+        assert np.array_equal(sub.labels, [1, 0, 1, 0]) and sub.name == "six"
+
+    @pytest.mark.parametrize("ids,dtype", [
+        ([True, True, False, False, True, True], "bool"),
+        ([0.7, 1.9, 4.2], "float64"),
+    ], ids=["bool-mask", "float-ids"])
+    def test_mask_or_float_ids_refused(self, ids, dtype):
+        with pytest.raises(DataError, match=f"subset takes integer row ids, got dtype {dtype}"):
+            self.ds.subset(ids)
+
+
 @pytest.mark.parametrize("labels,message", [
     ([0, 1, 2, 1], r"dataset 'd': labels must be 0 and 1, both present; got \[0 1 2\]"),
     ([0, 0, 0, 0], r"dataset 'd': labels must be 0 and 1, both present; got \[0\]"),

@@ -1,10 +1,10 @@
-import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convgen import nn
@@ -517,120 +517,13 @@ class TestDoc:
         assert np.array_equal(before, model.discriminator.layers[0].w)
 
 
-class TestCheckpoint:
-    def test_save_load_save_is_byte_identical(self, tmp_path):
-        model, ds = fitted_toy_model(epochs=2)
-        first = tmp_path / "model.json"
-        second = tmp_path / "model2.json"
-        model.save(first)
-        restored = ConvGeNModel.load(first, ds)
-        restored.save(second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_save_under_a_regular_file_names_the_path(self, tmp_path):
-        model, _ = fitted_toy_model(epochs=1)
-        blocker = tmp_path / "file"
-        blocker.write_text("", encoding="utf-8")
-        path = blocker / "model.json"
-        with pytest.raises(DataError, match=re.escape(f"{path}: cannot open: Not a directory")):
-            model.save(path)
-
-    def test_restored_model_generates_identically(self, tmp_path):
-        model, ds = fitted_toy_model(epochs=2)
-        path = tmp_path / "model.json"
-        model.save(path)
-        restored = ConvGeNModel.load(path, ds)
-        assert np.array_equal(model.synthetic_rows(20), restored.synthetic_rows(20))
-
-    def test_wrong_dataset_rejected(self, tmp_path):
-        model, _ = fitted_toy_model(epochs=1)
-        path = tmp_path / "model.json"
-        model.save(path)
-        rng = np.random.default_rng(50)
-        other = Dataset(rng.normal(size=(30, 3)),
-                        np.array([1] * 12 + [0] * 18), "wide")
-        with pytest.raises(DataError, match="match"):
-            ConvGeNModel.load(path, other)
-
-    def test_garbage_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "other"}), encoding="utf-8")
-        with pytest.raises(DataError, match="checkpoint"):
-            ConvGeNModel.load(path, two_blob_dataset())
-
-    def test_v1_file_rejected_by_its_format(self, tmp_path):
-        model, ds = fitted_toy_model(epochs=1)
-        path = tmp_path / "model.json"
-        model.save(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        payload["format"] = "convgen-checkpoint-v1"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        with pytest.raises(DataError, match="'convgen-checkpoint-v1'"):
-            ConvGeNModel.load(path, ds)
-
-    @pytest.mark.parametrize("edit,message", [
-        (lambda p: [p], "JSON list, not an object"),
-        (lambda p: "{", "not JSON"),
-        (lambda p: {k: v for k, v in p.items() if k != "training_data_sha256"},
-         r"lacks \['training_data_sha256'\]"),
-        (lambda p: {**p, "config": {**p["config"], "lr": 0.1}}, "config must hold exactly"),
-        (lambda p: {**p, "config": {**p["config"], "neb_epochs": -1}}, "neb_epochs"),
-        (lambda p: {**p, "config": {**p["config"], "seed": "3"}}, "seed"),
-        (lambda p: {**p, "format": "convgen-checkpoint-v2",
-                    "config": {**p["config"], "k_prime": 3}}, "retrain and save"),
-        (lambda p: {**p, "generator": [1.0, 2.0]}, "network entry"),
-        (lambda p: {**p, "generator": {**p["generator"], "params": ["x"] * len(
-            p["generator"]["params"])}}, "must be numbers"),
-        (lambda p: None, "cannot open: Is a directory"),
-    ], ids=["list", "not-json", "no-sha256", "unknown-config-key", "bad-config-value",
-            "non-integer-seed", "v2", "network-not-an-object", "non-numeric-params", "directory"])
-    def test_malformed_checkpoint_rejected_naming_the_file(self, tmp_path, edit, message):
-        model, ds = fitted_toy_model(epochs=1)
-        path = tmp_path / "model.json"
-        model.save(path)
-        edited = edit(json.loads(path.read_text(encoding="utf-8")))
-        if edited is None:  # the checkpoint path names a directory
-            path.unlink()
-            path.mkdir()
-        else:
-            path.write_text(edited if isinstance(edited, str) else json.dumps(edited),
-                            encoding="utf-8")
-        with pytest.raises(DataError, match=re.escape(str(path)) + ".*" + message):
-            ConvGeNModel.load(path, ds)
-
-    def test_same_shape_other_data_rejected(self, tmp_path):
-        model, ds = fitted_toy_model(epochs=1)
-        path = tmp_path / "model.json"
-        model.save(path)
-        features = ds.features.copy()
-        features[0, 0] += 1e-9
-        for other in (Dataset(features, ds.labels, ds.name),
-                      Dataset(ds.features, ds.labels[::-1].copy(), ds.name)):
-            with pytest.raises(DataError, match="does not match"):
-                ConvGeNModel.load(path, other)
-
-    def test_stores_one_flat_vector_per_network(self, tmp_path):
-        model, _ = fitted_toy_model(epochs=1)
-        path = tmp_path / "model.json"
-        model.save(path)
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        assert payload["format"] == "convgen-checkpoint-v3"
-        for key, net in (("generator", model.generator.net), ("discriminator", model.discriminator)):
-            assert payload[key]["dtype"] == "float32"
-            assert np.array(payload[key]["params"], np.float32).tobytes() == net.params.tobytes()
-
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(neb=st.integers(2, 7), f=st.integers(1, 4), seed=st.integers(0, 2**16))
-    def test_round_trip_generates_identical_rows(self, tmp_path, neb, f, seed):
-        rng = np.random.default_rng(seed)
-        n_min = neb + int(rng.integers(0, 3))
-        ds = Dataset(rng.normal(size=(n_min + 10, f)), np.array([1] * n_min + [0] * 10))
-        cfg = ConvGeNConfig(neb=neb, neb_epochs=1, disc_train_count=1, seed=seed)
-        model = ConvGeNModel(cfg).fit(ds)
-        path = tmp_path / "model.json"
-        model.save(path)
-        restored = ConvGeNModel.load(path, ds)
-        for before, after in zip(model.generate(3 * neb), restored.generate(3 * neb), strict=True):
-            assert before.samples.tobytes() == after.samples.tobytes()
-            assert before.coefficients.tobytes() == after.coefficients.tobytes()
+def test_readme_library_block_runs(monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    monkeypatch.chdir(root)  # the block names its dataset relative to the repo root
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    labels = scope["labels"]
+    assert 2 * np.count_nonzero(labels) == len(labels)  # balanced
+    assert set(scope["doc"].predict(scope["features"][:20])) <= {0, 1}
