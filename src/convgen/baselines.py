@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .data import DataError, require_int
+from .data import DataError, feature_matrix, require_int
 from .neighborhood import ranked_neighbors
 
 
@@ -56,9 +56,9 @@ class Gan:
     """
 
     def __init__(self, n_features: int, epochs: int = 300, seed: int = 0) -> None:
-        f = require_int("n_features", n_features, 1)
+        self.n_features = f = require_int("n_features", n_features, 1)
         self.epochs = require_int("epochs", epochs, 0)
-        self.seed = seed
+        self.seed = seed = require_int("seed", seed, 0)
         self.noise_size = nu = 16 * f
         self.generator = nn.dense_network(
             [nu, 2 * nu, 4 * f, 2 * f, f],
@@ -74,6 +74,7 @@ class Gan:
         self.loss_history: list[tuple[float, float]] = []
 
     def train(self, minority: np.ndarray) -> "Gan":
+        minority = feature_matrix("minority rows", minority, self.n_features)
         if len(minority) < 2:
             raise DataError("GAN training needs at least two minority rows")
         self.alpha = 1.1 * float(np.abs(minority).max(initial=0.0)) or 1.0

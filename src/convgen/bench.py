@@ -21,14 +21,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .baselines import Gan, interpolation_sample, repeater_sample
-from .classifiers import (
-    DiscriminatorClassifier,
-    ExternalPredictions,
-    KNNClassifier,
-    LogisticRegressionClassifier,
-)
-from .data import (DataError, Dataset, FoldPlan, load_csv, load_json_object, load_synthetic_csv,
-                   make_dir, open_text, require_int, stratified_kfold)
+from .classifiers import DiscriminatorClassifier, KNNClassifier, LogisticRegressionClassifier
+from .data import (DataError, Dataset, FoldPlan, load_csv, load_json_object, make_dir, open_text,
+                   require_int, stratified_kfold)
 from .metrics import cohen_kappa, confusion, f1_minority
 from .model import ConvGeNConfig, ConvGeNModel
 from .rng import derive_seed
@@ -61,10 +56,10 @@ class Spec:
 # The kinds each config list takes, and the keys each kind reads from its spec.
 SPEC_KEYS = {
     "oversamplers": {
-        "repeater": (), "interpolation": ("k",), "gan": ("epochs",), "from-file": ("path",),
+        "repeater": (), "interpolation": ("k",), "gan": ("epochs",),
         "convgen": ("preset", *(f.name for f in fields(ConvGeNConfig) if f.name != "seed")),
     },
-    "classifiers": {"knn": ("k",), "logreg": (), "doc": (), "external": ("dir",)},
+    "classifiers": {"knn": ("k",), "logreg": (), "doc": ()},
 }
 
 
@@ -75,10 +70,6 @@ def _check_spec(kinds: dict, spec: Spec) -> None:
     unknown = sorted(set(spec.params) - set(kinds[spec.kind]))
     if unknown:
         raise DataError(f"unknown key(s) {unknown}")
-    for key, what in (("path", "a synthetic rows file"), ("dir", "a predictions directory")):
-        if key in kinds[spec.kind] and not isinstance(spec.params.get(key), str):
-            got = f" as a string, got {spec.params[key]!r}" if key in spec.params else ""
-            raise DataError(f"needs {what}, key {key!r}{got}")
     for key in sorted({"k", "epochs"}.intersection(spec.params)):
         require_int(key, spec.params[key], 1)
     if spec.kind == "convgen":
@@ -178,7 +169,7 @@ class FoldResult:
     """Everything produced while oversampling one training fold."""
 
     synthetic: np.ndarray
-    provenance: np.ndarray | None  # original-dataset row ids, or None
+    provenance: np.ndarray  # the original-dataset row ids each synthetic row came from
     model: ConvGeNModel | None = None  # the fitted ConvGeN model, for DoC
 
 
@@ -219,14 +210,10 @@ def oversample_fold(spec: Spec, train: Dataset, train_ids: np.ndarray,
             provenance = minority_ids[:0]
         return FoldResult(synthetic, provenance, model)
 
-    if spec.kind == "from-file":
-        rows = load_synthetic_csv(spec.params["path"], train.n_features)
-        return FoldResult(repeater_sample(rows, n_synthetic), None)
-
     raise DataError(f"unknown oversampler kind {spec.kind!r}")
 
 
-def make_classifier(spec: Spec, fold_result: FoldResult, fold_name: str):
+def make_classifier(spec: Spec, fold_result: FoldResult):
     if spec.kind == "knn":
         return KNNClassifier(k=spec.params.get("k", 5))
     if spec.kind == "logreg":
@@ -235,8 +222,6 @@ def make_classifier(spec: Spec, fold_result: FoldResult, fold_name: str):
         if fold_result.model is None:
             raise DataError("the doc classifier requires the convgen oversampler")
         return DiscriminatorClassifier(fold_result.model)
-    if spec.kind == "external":
-        return ExternalPredictions(os.path.join(spec.params["dir"], f"{fold_name}.csv"))
     raise DataError(f"unknown classifier kind {spec.kind!r}")
 
 
@@ -254,17 +239,16 @@ def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
     seed = derive_seed(cfg.seed, dataset.name, oversampler.name, shuffle, fold)
 
     result = oversample_fold(oversampler, train, train_ids, n_synthetic, seed)
-    if result.provenance is not None:
-        # one mask lookup per id; an id outside [0, n_samples), negative ones
-        # included, would wrap or fail as an index, and is held out anyway
-        ids = result.provenance
-        in_train = np.zeros(dataset.n_samples, dtype=bool)
-        in_train[train_ids] = True
-        inside = (ids >= 0) & (ids < dataset.n_samples)
-        inside[inside] = in_train[ids[inside]]
-        if not inside.all():
-            leaked = np.unique(ids[~inside])
-            raise DataError(f"oversampler touched held-out rows {leaked[:5]}")
+    # one mask lookup per id; an id outside [0, n_samples), negative ones
+    # included, would wrap or fail as an index, and is held out anyway
+    ids = result.provenance
+    in_train = np.zeros(dataset.n_samples, dtype=bool)
+    in_train[train_ids] = True
+    inside = (ids >= 0) & (ids < dataset.n_samples)
+    inside[inside] = in_train[ids[inside]]
+    if not inside.all():
+        leaked = np.unique(ids[~inside])
+        raise DataError(f"oversampler touched held-out rows {leaked[:5]}")
     if len(result.synthetic) != n_synthetic:
         raise DataError(
             f"expected {n_synthetic} synthetic rows, got {len(result.synthetic)}"
@@ -279,7 +263,7 @@ def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
     for clf_spec in cfg.classifiers:
         started = time.perf_counter()
         try:
-            clf = make_classifier(clf_spec, result, f"{dataset.name}_s{shuffle}_f{fold}")
+            clf = make_classifier(clf_spec, result)
             clf.fit(full_features, full_labels)
             cm = confusion(test_labels, clf.predict(test_features))
             scores[clf_spec.name] = {

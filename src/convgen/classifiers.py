@@ -1,6 +1,5 @@
-"""Downstream classifiers scored in the benchmark: kNN, logistic regression,
-ConvGeN's retrained discriminator (DoC), and an adapter for out-of-band
-predictions.
+"""Downstream classifiers scored in the benchmark: kNN, logistic regression
+and ConvGeN's retrained discriminator (DoC).
 
 All classifiers expose fit(features, labels) / predict(features) with
 labels in {0, 1}, 1 = minority. kNN, logistic regression and DoC check
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import DataError, feature_matrix, labelled_set, open_text, require_int
+from .data import DataError, feature_matrix, labelled_set, require_int
 from .neighborhood import ranked_neighbors
 
 
@@ -175,28 +174,3 @@ class DiscriminatorClassifier:
         # output node 0 is the minority node
         return (probs[:, 0] > probs[:, 1]).astype(int)
 
-
-class ExternalPredictions:
-    """Scores label files produced by an external tool.
-
-    The file must hold one 0/1 label per line, aligned with the test-fold
-    row order the harness exports.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = path
-
-    def fit(self, features, labels):
-        return self
-
-    def predict(self, features) -> np.ndarray:
-        with open_text(self.path) as fh:
-            labels = [(n, line.strip()) for n, line in enumerate(fh, start=1) if line.strip()]
-        for lineno, label in labels:
-            if label not in ("0", "1"):
-                raise DataError(f"{self.path}:{lineno}: label {label!r} is not 0/1")
-        if len(labels) != len(features):
-            raise DataError(
-                f"{self.path}: {len(labels)} labels for {len(features)} test rows"
-            )
-        return np.array([int(label) for _, label in labels], dtype=int)

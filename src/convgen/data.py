@@ -93,6 +93,9 @@ class Dataset:
         idx = np.asarray(indices)
         if idx.dtype.kind not in "iu":  # a bool mask or float ids would cast to wrong rows
             raise DataError(f"subset takes integer row ids, got dtype {idx.dtype}")
+        bad = idx[(idx < 0) | (idx >= self.n_samples)]  # a negative id would count from the end
+        if bad.size:
+            raise DataError(f"subset row ids must lie in [0, {self.n_samples}), got {bad[:5]}")
         return Dataset(self.features[idx], self.labels[idx], self.name)
 
 

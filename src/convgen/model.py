@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .data import DataError, Dataset, labelled_set, require_int
+from .data import DataError, Dataset, feature_matrix, labelled_set, require_int
 from .neighborhood import knn_minority, majority_neighborhoods
 from .rng import derive_seed
 
@@ -360,6 +360,7 @@ class ConvGeNModel:
         training data balanced with synthetic rows; D itself is untouched."""
         self._require_fitted()
         features, labels = labelled_set(features, labels, "training")
+        feature_matrix("training features", features, self.dataset.n_features)
         targets = np.where((labels == 1)[:, None], [[1.0, 0.0]], [[0.0, 1.0]])
         doc = self.discriminator.clone()
         rng = np.random.default_rng(derive_seed(self.config.seed, "doc"))

@@ -170,6 +170,19 @@ class TestGan:
         with pytest.raises(DataError, match=message):
             Gan(n_features, epochs=epochs)
 
+    @pytest.mark.parametrize("make,message", [
+        (lambda: Gan(2, seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda: Gan(2, seed=2.5), "seed must be an integer >= 0, got 2.5"),
+        (lambda: Gan(2, seed=True), "seed must be an integer >= 0, got True"),
+        (lambda: Gan(3, epochs=1).train(np.ones((5, 2))),
+         r"minority rows must be \(rows, 3\), got shape \(5, 2\)"),
+        (lambda: Gan(3, epochs=1).train(np.ones(3)),
+         r"minority rows must be \(rows, 3\), got shape \(3,\)"),
+    ], ids=["negative-seed", "float-seed", "bool-seed", "narrower-rows", "1-D-rows"])
+    def test_seed_and_row_width_checked(self, make, message):
+        with pytest.raises(DataError, match=message):
+            make()
+
 
 class TestAlphaScaling:
     """Gan.train divides the rows by alpha = 1.1 * largest |x|, or by 1 when

@@ -151,6 +151,16 @@ class TestConfig:
         with pytest.raises(DataError, match=r"smote 'x' in oversamplers: unknown kind; "
                                             r"choose from \['convgen', "):
             build_config(oversampler=Spec("x", "smote"))
+        # from-file rows and external labels are made outside the fold, where
+        # the leakage audit cannot see them
+        with pytest.raises(DataError, match=re.escape(
+                "from-file 'ff' in oversamplers: unknown kind; "
+                f"choose from {sorted(SPEC_KEYS['oversamplers'])}")):
+            build_config(oversampler=Spec("ff", "from-file", {"path": "rows.csv"}))
+        with pytest.raises(DataError, match=re.escape(
+                "external 'ext' in classifiers: unknown kind; "
+                f"choose from {sorted(SPEC_KEYS['classifiers'])}")):
+            build_config(classifier=Spec("ext", "external", {"dir": "preds"}))
 
     def test_non_string_kind_or_name_rejected(self, build_config):
         with pytest.raises(DataError, match=r"classifiers\[0\] is malformed: "
@@ -161,27 +171,6 @@ class TestConfig:
         with pytest.raises(DataError, match=r"datasets\[0\] is malformed: non-string "
                                             r"name=\['a'\]"):
             build_config(dataset_name=["a"])
-
-    def test_from_file_without_path_rejected_on_load(self, build_config):
-        with pytest.raises(DataError, match=r"from-file 'ff' in oversamplers: needs a synthetic "
-                                            r"rows file, key 'path'"):
-            build_config(oversampler=Spec("ff", "from-file"))
-
-    @pytest.mark.parametrize("value", [True, 2, None, ["rows.csv"]])
-    def test_non_string_path_or_dir_rejected_on_load(self, build_config, value):
-        with pytest.raises(DataError, match=r"from-file 'ff' in oversamplers: needs a synthetic "
-                                            r"rows file, key 'path' as a string, got "
-                                            + re.escape(repr(value))):
-            build_config(oversampler=Spec("ff", "from-file", {"path": value}))
-        with pytest.raises(DataError, match=r"external 'ext' in classifiers: needs a predictions "
-                                            r"directory, key 'dir' as a string, got "
-                                            + re.escape(repr(value))):
-            build_config(classifier=Spec("ext", "external", {"dir": value}))
-
-    def test_external_without_dir_rejected_on_load(self, build_config):
-        with pytest.raises(DataError, match=r"external 'ext' in classifiers: needs a "
-                                            r"predictions directory, key 'dir'"):
-            build_config(classifier=Spec("ext", "external"))
 
     def test_env_seed_override(self, tmp_path, toy_csv):
         cfg_path = tmp_path / "cfg.json"
@@ -313,7 +302,7 @@ class TestOversampleFold:
         ("repeater", {"k": 3}, "k"),
         ("interpolation", {"kk": 1}, "kk"),
         ("gan", {"epochs": 2, "lr": 0.1}, "lr"),
-        ("from-file", {"path": "rows.csv", "rows": 3}, "rows"),
+        ("interpolation", {"k": 3, "path": "rows.csv"}, "path"),  # from-file's key, now no kind's
         ("convgen", {"neb_epoch": 1}, "neb_epoch"),
         ("convgen", {"preset": "5,maj", "seed": 3}, "seed"),
         ("convgen", {"k_prime": 3}, "k_prime"),
@@ -363,18 +352,17 @@ class TestOversampleFold:
         with pytest.raises(DataError, match="convgen 'cg' in oversamplers: .*" + pattern):
             build_config(oversampler=Spec("cg", "convgen", {key: value}))
 
-    def test_from_file_cycles_rows(self, tmp_path, toy_dataset):
-        rows = np.arange(6.0).reshape(3, 2)
-        path = tmp_path / "syn.csv"
-        path.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in rows) + "\n")
+    @pytest.mark.parametrize("kind", sorted(SPEC_KEYS["oversamplers"]))
+    def test_every_kind_returns_auditable_provenance(self, toy_dataset, kind):
+        params = {"convgen": {"preset": "5,maj", "neb_epochs": 1}, "gan": {"epochs": 1}}
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
         train_ids = plan.train_indices(0, 0)
         train = toy_dataset.subset(train_ids)
-        res = oversample_fold(
-            Spec("ff", "from-file", {"path": str(path)}), train, train_ids, 5, 1
-        )
-        np.testing.assert_allclose(res.synthetic, rows[np.arange(5) % 3])
-        assert res.provenance is None
+        n_syn = train.majority_count - train.minority_count
+        res = oversample_fold(Spec("o", kind, params.get(kind, {})), train, train_ids, n_syn, 1)
+        assert len(res.synthetic) == n_syn
+        assert res.provenance.dtype.kind in "iu" and len(res.provenance)
+        assert np.isin(res.provenance, train_ids).all()
 
     def test_unknown_kind_rejected(self, toy_dataset):
         plan = stratified_kfold(toy_dataset, 2, 1, seed=5)
@@ -427,15 +415,14 @@ class TestDegenerateData:
 
 class TestMakeClassifier:
     def test_allowed_key_is_used(self):
-        clf = make_classifier(Spec("knn3", "knn", {"k": 3}), FoldResult(None, None),
-                              "toy_s0_f0")
+        clf = make_classifier(Spec("knn3", "knn", {"k": 3}), FoldResult(None, None))
         assert clf.k == 3
 
     @pytest.mark.parametrize("kind,params,keys", [
         ("knn", {"k": 3, "weights": "distance"}, ["weights"]),
         ("logreg", {"lr": 5.0, "iterations": 1}, ["iterations", "lr"]),
         ("doc", {"epochs": 3}, ["epochs"]),
-        ("external", {"dir": "preds", "sep": ";"}, ["sep"]),
+        ("knn", {"k": 3, "dir": "preds"}, ["dir"]),  # external's key, now no kind's
     ])
     def test_unknown_key_rejected(self, build_config, kind, params, keys):
         with pytest.raises(DataError, match=f"{kind} 'c' in classifiers: unknown key") as info:
@@ -451,7 +438,7 @@ class TestMakeClassifier:
     def test_numpy_integer_k_accepted(self, build_config):
         spec = Spec("knn", "knn", {"k": np.int64(3)})
         assert build_config(classifier=spec).classifiers == (spec,)
-        assert make_classifier(spec, FoldResult(None, None), "toy_s0_f0").k == 3
+        assert make_classifier(spec, FoldResult(None, None)).k == 3
 
 
 class TestRunFold:
@@ -536,28 +523,6 @@ class TestRunFold:
         monkeypatch.setattr(bench, "oversample_fold", repeated)
         assert "f1" in run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)["knn"]
 
-    @pytest.mark.parametrize("kind", ["from-file", "external"])
-    def test_undecodable_file_fails_its_folds_naming_the_file(self, toy_csv, tmp_path, kind):
-        files = tmp_path / "files"
-        files.mkdir()
-        if kind == "from-file":
-            rows = files / "rows.csv"
-            rows.write_bytes(b"1.0,2.0\n3.0,caf\xe9\n")
-            cfg = toy_config(toy_csv, [Spec("ff", "from-file", {"path": str(rows)})],
-                             [Spec("knn", "knn")], n_shuffles=1)
-            named = [rows, rows]
-        else:
-            named = [files / f"toy_s0_f{fold}.csv" for fold in range(2)]
-            for path in named:
-                path.write_bytes(b"0\n1\n\xe9\n")
-            cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
-                             [Spec("ext", "external", {"dir": str(files)})], n_shuffles=1)
-        report, _ = run_benchmark(cfg)
-        (cell,) = report["cells"]
-        assert cell["status"] == "failed"
-        assert [entry["error"] for entry in cell["folds"]] == [
-            f"DataError: {path}: not UTF-8 text: cannot decode byte 0xe9" for path in named]
-
     def test_doc_without_convgen_fails_per_cell(self, toy_csv):
         cfg = toy_config(toy_csv, [Spec("rep", "repeater")],
                          [Spec("doc", "doc"), Spec("knn", "knn")])
@@ -607,24 +572,6 @@ class TestRunFold:
             rows = np.vstack([b.samples for b in batches])
             assert np.array_equal(features, np.vstack([train.features, rows]))
             assert np.array_equal(labels, np.concatenate([train.labels, np.ones(len(rows))]))
-
-    def test_external_predictions(self, toy_csv, tmp_path):
-        ext_dir = tmp_path / "preds"
-        ext_dir.mkdir()
-        cfg = toy_config(
-            toy_csv, [Spec("rep", "repeater")],
-            [Spec("ext", "external", {"dir": str(ext_dir)})],
-            n_folds=2, n_shuffles=1,
-        )
-        dataset = cfg.datasets[0].load()
-        plan = stratified_kfold(dataset, 2, 1, derive_seed(cfg.seed, "folds", "toy"))
-        test_ids = plan.test_indices(0, 0)
-        truth = dataset.labels[test_ids]
-        (ext_dir / "toy_s0_f0.csv").write_text("\n".join(str(v) for v in truth) + "\n")
-        scores = run_fold(cfg, dataset, plan, cfg.oversamplers[0], 0, 0)
-        assert scores["ext"]["f1"] == 1.0
-        assert scores["ext"]["kappa"] == 1.0
-
 
 
 class TestRunBenchmark:

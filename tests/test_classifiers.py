@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from convgen.classifiers import (
     DiscriminatorClassifier,
-    ExternalPredictions,
     KNNClassifier,
     LogisticRegressionClassifier,
 )
@@ -305,29 +304,3 @@ def test_logreg_predict_rejects_other_shapes(features, monkeypatch):
     clf = LogisticRegressionClassifier().fit(ds.features, ds.labels)
     with pytest.raises(DataError, match=r"features must be \(rows, 2\)"):
         clf.predict(features)
-
-
-class TestExternalPredictions:
-    def test_reads_aligned_labels(self, tmp_path):
-        path = tmp_path / "preds.csv"
-        path.write_text("1\n0\n1\n", encoding="utf-8")
-        clf = ExternalPredictions(str(path)).fit(None, None)
-        assert list(clf.predict(np.zeros((3, 2)))) == [1, 0, 1]
-
-    def test_length_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "preds.csv"
-        path.write_text("1\n0\n", encoding="utf-8")
-        with pytest.raises(DataError, match="labels for"):
-            ExternalPredictions(str(path)).predict(np.zeros((3, 2)))
-
-    def test_non_integer_label_names_its_line(self, tmp_path):
-        path = tmp_path / "preds.csv"
-        path.write_text("1\n\n1.0\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"preds\.csv:3: label '1\.0' is not 0/1"):
-            ExternalPredictions(str(path)).predict(np.zeros((2, 2)))
-
-    def test_non_binary_rejected(self, tmp_path):
-        path = tmp_path / "preds.csv"
-        path.write_text("1\n2\n", encoding="utf-8")
-        with pytest.raises(DataError, match="0/1"):
-            ExternalPredictions(str(path)).predict(np.zeros((2, 2)))

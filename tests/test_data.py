@@ -244,6 +244,14 @@ class TestSubset:
         with pytest.raises(DataError, match=f"subset takes integer row ids, got dtype {dtype}"):
             self.ds.subset(ids)
 
+    @pytest.mark.parametrize("ids,bad", [([-1, 0], [-1]), ([7], [7]), ([0, 6, -7, 2], [6, -7])],
+                             ids=["negative", "past-the-end", "both"])
+    def test_ids_outside_the_rows_refused(self, ids, bad):
+        # a negative id would silently count from the end, a large one leak IndexError
+        with pytest.raises(DataError, match=re.escape(
+                f"subset row ids must lie in [0, 6), got {np.array(bad)}")):
+            self.ds.subset(ids)
+
 
 @pytest.mark.parametrize("labels,message", [
     ([0, 1, 2, 1], r"dataset 'd': labels must be 0 and 1, both present; got \[0 1 2\]"),

@@ -516,6 +516,13 @@ class TestDoc:
         model.retrain_doc(*balanced_set(model, ds))
         assert np.array_equal(before, model.discriminator.layers[0].w)
 
+    def test_features_of_another_width_refused(self):
+        model, ds = fitted_toy_model(epochs=1)
+        features, labels = balanced_set(model, ds)
+        with pytest.raises(DataError, match=r"training features must be \(rows, 2\), "
+                                            r"got shape \(\d+, 3\)"):
+            model.retrain_doc(np.hstack([features, features[:, :1]]), labels)
+
 
 def test_readme_library_block_runs(monkeypatch):
     root = Path(__file__).resolve().parents[1]

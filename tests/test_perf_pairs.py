@@ -15,7 +15,8 @@ if seed in {silent}:
     print("report digest abc; no JSON follows")
     sys.exit(0)
 print("report digest abc; 1 folds")
-print({result!r})
+results = {results!r}
+print(results.get(seed, results[None]))
 """
 
 
@@ -28,14 +29,18 @@ def perf_pairs():
     return module
 
 
-def checkout(root, name, value, failing=(), silent=(), metrics=None):
-    """A checkout whose perfbench run prints folds_per_s = value and `metrics`."""
-    values = {"folds_per_s": value, **(metrics or {})}
-    result = json.dumps({"correct": True,
-                         "metrics": {k: {"value": v} for k, v in values.items()}})
+def checkout(root, name, value, failing=(), silent=(), metrics=None, by_seed=None):
+    """A checkout whose perfbench run prints folds_per_s = value and `metrics`,
+    overridden for seed s by `by_seed[s]`."""
+    def result(overrides):
+        values = {"folds_per_s": value, **(metrics or {}), **overrides}
+        return json.dumps({"correct": True,
+                           "metrics": {k: {"value": v} for k, v in values.items()}})
+
+    results = {None: result({}), **{s: result(m) for s, m in (by_seed or {}).items()}}
     os.makedirs(root / name / "perfbench")
     (root / name / "perfbench" / "run.py").write_text(
-        STUB.format(result=result, failing=set(failing) or "()", silent=set(silent) or "()"),
+        STUB.format(results=results, failing=set(failing) or "()", silent=set(silent) or "()"),
         encoding="utf-8")
     return str(root / name)
 
@@ -97,4 +102,27 @@ def test_no_regression_lists_none(tmp_path, capsys, perf_pairs):
     perf_pairs.main([parent, change, "--workload", "w", "--seeds", "1", "--seconds", "1"])
     lines = capsys.readouterr().out.strip().splitlines()
     assert "worse than the parent beyond the bound: none" in lines
-    assert json.loads(lines[-1])["regressions"] == []
+    assert "parent spread wider than the bound: none" in lines
+    assert json.loads(lines[-1])["regressions"] == json.loads(lines[-1])["unresolved"] == []
+
+
+def test_parent_spread_wider_than_the_bound_is_unresolved(tmp_path, capsys, perf_pairs):
+    # setup_s in two host-dependent modes, ~0.13 and ~0.21 s, on both sides: the
+    # parent's IQR is 61.5% of its median, beyond the 0.25 bound. fold_s.p50 is as
+    # wide, but every change run beats every parent run; folds_per_s is tight.
+    parent = checkout(tmp_path, "parent", 100.0, by_seed={
+        seed: {"setup_s": 0.21 if seed > 6 else 0.13, "fold_s.p50": 0.004 * (1 + seed % 2)}
+        for seed in range(1, 11)})
+    change = checkout(tmp_path, "change", 100.0, by_seed={
+        seed: {"setup_s": 0.21 if seed > 4 else 0.13, "fold_s.p50": 0.003}
+        for seed in range(1, 11)})
+    assert perf_pairs.main([parent, change, "--workload", "w", "--seeds", "1-10",
+                            "--seconds", "1", "--metric", "setup_s"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = {line.split()[0]: line for line in lines
+            if line.split() and line.split()[0] in ("folds_per_s", "setup_s", "fold_s.p50")}
+    assert rows["setup_s"].endswith("WORSE by 61.5%; UNRESOLVED: parent IQR 61.5% of its median")
+    assert "UNRESOLVED" not in rows["fold_s.p50"] and "UNRESOLVED" not in rows["folds_per_s"]
+    assert "parent spread wider than the bound: setup_s" in lines
+    summary = json.loads(lines[-1])
+    assert summary["unresolved"] == ["setup_s"] and summary["regressions"] == ["setup_s"]

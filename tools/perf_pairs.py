@@ -19,6 +19,11 @@ Every end-to-end metric whose change median is worse than the parent
 median by more than the metric's BENCHMARK.json bound (a fraction of the
 parent median, read in the metric's better direction) is marked WORSE in
 the summary, and listed under "regressions" in the final JSON line.
+Every end-to-end metric whose parent runs spread wider than its bound (the
+distance between the parent's quartiles, as a fraction of the parent
+median) is marked UNRESOLVED and listed under "unresolved", unless every
+change run is better than every parent run: at that spread, a median
+difference within the bound cannot be told from noise.
 
 Each pair also prints whether both sides wrote the same report.json bytes
 (the `report digest` line of each run), and the summary lists the seeds
@@ -118,25 +123,29 @@ def main(argv=None) -> int:
               f"{'same' if same else 'DIFFERS'} ({str(digests['change'][-1])[:12]})", flush=True)
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs at --seconds {args.seconds:g}")
-    print(f"{'metric':<14}{'parent q1 / median / q3':>34}{'change q1 / median / q3':>34}"
-          "  beyond bound")
-    regressions = []
+    print(f"{'metric':<14}{'parent q1 / median / q3':>34}{'change q1 / median / q3':>34}  flags")
+    regressions, unresolved = [], []
     for name in dict.fromkeys(k for side in runs.values() for r in side for k in r):
-        cells, medians = [], []
-        for side in ("parent", "change"):
-            values = [r[name] for r in runs[side] if name in r]
-            cells.append(" / ".join(f"{q:.4g}" for q in quartiles(values)) if values else "-")
-            medians.append(statistics.median(values) if values else None)
-        flag = ""
-        if name in end_to_end and None not in medians:
-            parent_median, change_median = medians
-            worse = change_median - parent_median
-            if end_to_end[name]["better"] == "higher":
-                worse = -worse
-            if worse > end_to_end[name]["bound"] * abs(parent_median):
+        parent, change = ([r[name] for r in runs[side] if name in r] for side in runs)
+        cells = [" / ".join(f"{q:.4g}" for q in quartiles(v)) if v else "-"
+                 for v in (parent, change)]
+        flags = []
+        if name in end_to_end and parent and change:
+            bound = end_to_end[name]["bound"]
+            worse_sign = -1 if end_to_end[name]["better"] == "higher" else 1
+            q1, parent_median, q3 = quartiles(parent)
+            scale = abs(parent_median)
+            worse = worse_sign * (statistics.median(change) - parent_median)
+            if worse > bound * scale:
                 regressions.append(name)
-                flag = f"WORSE by {worse / abs(parent_median):.1%}" if parent_median else "WORSE"
-        print(f"{name:<14}{cells[0]:>34}{cells[1]:>34}  {flag}".rstrip())
+                flags.append(f"WORSE by {worse / scale:.1%}" if scale else "WORSE")
+            separated = (max(worse_sign * v for v in change)
+                         < min(worse_sign * v for v in parent))
+            if q3 - q1 > bound * scale and not separated:
+                unresolved.append(name)
+                flags.append(f"UNRESOLVED: parent IQR {(q3 - q1) / scale:.1%} of its median"
+                             if scale else "UNRESOLVED")
+        print(f"{name:<14}{cells[0]:>34}{cells[1]:>34}  {'; '.join(flags)}".rstrip())
 
     pairs = [(p_run[args.metric], c_run[args.metric])
              for p_run, c_run in zip(runs["parent"], runs["change"])
@@ -159,10 +168,12 @@ def main(argv=None) -> int:
               if a != b]
     print(f"report bytes: {'same on every seed' if not differ else f'DIFFER on seeds {differ}'}")
     print(f"worse than the parent beyond the bound: {', '.join(regressions) or 'none'}")
+    print(f"parent spread wider than the bound: {', '.join(unresolved) or 'none'}")
     if incorrect:
         print(f"runs not correct: {', '.join(incorrect)}")
     print(json.dumps({"workload": args.workload, "seeds": args.seeds, "runs": runs,
-                      "digests": digests, "regressions": regressions}))
+                      "digests": digests, "regressions": regressions,
+                      "unresolved": unresolved}))
     return 1 if incorrect else 0
 
 if __name__ == "__main__":
