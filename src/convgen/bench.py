@@ -12,6 +12,8 @@ runs).
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import time
@@ -100,8 +102,11 @@ def _dataset_spec(d) -> DatasetSpec:
 
 def _entries(raw: dict, key: str, parse) -> tuple:
     """raw[key] (none if absent) parsed entry by entry; a missing key names the entry."""
+    entries = raw.get(key, [])
+    if not isinstance(entries, list):
+        raise DataError(f"{key} must be a list, got {entries!r}")
     parsed = []
-    for i, entry in enumerate(raw.get(key, ())):
+    for i, entry in enumerate(entries):
         try:
             parsed.append(parse(entry))
         except KeyError as exc:
@@ -146,6 +151,15 @@ class BenchmarkConfig:
                     _check_spec(SPEC_KEYS[key], spec)
                 except DataError as exc:
                     raise DataError(f"{spec.kind} {spec.name!r} in {key}: {exc}") from None
+
+    def load_datasets(self) -> dict[str, Dataset]:
+        """Every dataset by name; one whose minority class cannot fill n_folds is refused."""
+        datasets = {spec.name: spec.load() for spec in self.datasets}
+        for spec in self.datasets:
+            if (count := datasets[spec.name].minority_count) < self.n_folds:
+                raise DataError(f"{spec.path}: minority class ({count}) smaller than "
+                                f"n_folds ({self.n_folds})")
+        return datasets
 
     @staticmethod
     def from_json(path, seed_override: int | None = None) -> "BenchmarkConfig":
@@ -341,7 +355,7 @@ def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1,
     shuffle) units in that many worker processes (see _worker_pool), with
     the same report bytes as a serial run.
     """
-    datasets = {spec.name: spec.load() for spec in cfg.datasets}
+    datasets = cfg.load_datasets()
     plans = {
         name: stratified_kfold(ds, cfg.n_folds, cfg.n_shuffles,
                                derive_seed(cfg.seed, "folds", name))
@@ -408,25 +422,15 @@ CELL_NAMES = ("dataset", "oversampler", "classifier", "status")
 CELL_STATS = ("f1_mean", "f1_std", "kappa_mean", "kappa_std")
 
 
-def load_report(path) -> dict:
-    """The raw report at `path`, if each cell holds what the renderers read: its
-    CELL_NAMES as strings and, unless all its folds failed, its CELL_STATS."""
-    cells = (raw := load_json_object(path, "report")).get("cells")
-    if not isinstance(cells, list) or not all(
-            isinstance(c, dict) and all(isinstance(c.get(k), str) for k in CELL_NAMES)
-            and (all(type(c.get(k)) in (int, float) for k in CELL_STATS)
-                 or c.keys().isdisjoint(CELL_STATS)) for c in cells):
-        raise DataError(f"{path}: report cells must be objects holding string "
-                        f"{', '.join(CELL_NAMES)} and all or none of {', '.join(CELL_STATS)}")
-    return raw
-
-
 def report_to_csv(report: dict) -> str:
-    lines = [",".join(CELL_NAMES + CELL_STATS)]
+    """One row per cell; a name that holds a comma, quote or newline is quoted."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CELL_NAMES + CELL_STATS)
     for cell in report["cells"]:
-        values = [f"{cell[key]:.6f}" if key in cell else "" for key in CELL_STATS]
-        lines.append(",".join([cell[key] for key in CELL_NAMES] + values))
-    return "\n".join(lines) + "\n"
+        writer.writerow([cell[key] for key in CELL_NAMES]
+                        + [f"{cell[key]:.6f}" if key in cell else "" for key in CELL_STATS])
+    return text.getvalue()
 
 
 def report_to_markdown(report: dict) -> str:

@@ -1,4 +1,4 @@
-"""Command line front end: `bench run`, `bench pca`, `bench report`."""
+"""Command line front end: `bench run`, `bench pca`."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import sys
 
 import click
 
-from .bench import (BenchmarkConfig, emit_report, load_report, report_to_csv, report_to_markdown,
-                    run_benchmark)
+from .bench import BenchmarkConfig, emit_report, run_benchmark
 from .data import DataError, load_csv, load_synthetic_csv, make_dir, open_text
 from .pca import pca_project
 
@@ -43,8 +42,7 @@ def run(config_path, out_dir, seed, jobs) -> None:
         click.echo(f"  {ds} / {ovs} / shuffle {shuffle}: {seconds:.1f}s")
 
     cfg = BenchmarkConfig.from_json(config_path, seed_override=seed)
-    for spec in cfg.datasets:  # a bad dataset must not leave an `out` directory behind
-        spec.load()
+    cfg.load_datasets()  # a bad dataset must not leave an `out` directory behind
     make_dir(out_dir)  # before the grid runs, so an `out` that cannot be made loses no work
     report, timings = run_benchmark(cfg, jobs=jobs, progress=progress)
     paths = emit_report(report, timings, out_dir)
@@ -74,16 +72,6 @@ def pca(dataset_path, label_col, minority_label, synthetic_path, out_path) -> No
     frac = projection.explained_fraction
     click.echo(f"explained variance fractions: {frac[0]:.4f}, {frac[1]:.4f}")
     click.echo(f"wrote {out_path}")
-
-
-@main.command()
-@click.option("--raw", "raw_path", required=True, help="A report.json produced by `bench run`.")
-@click.option("--format", "fmt", type=click.Choice(["md", "csv"]), default="md",
-              show_default=True)
-def report(raw_path, fmt) -> None:
-    """Re-render a raw report dump as a Markdown or CSV table."""
-    raw = load_report(raw_path)
-    click.echo(report_to_markdown(raw) if fmt == "md" else report_to_csv(raw), nl=False)
 
 
 if __name__ == "__main__":

@@ -204,8 +204,7 @@ def test_protocol_integrity(capsys, full_report):
                                       derive_seed(0, spec.name, shuffle, fold))
                 assert len(res.synthetic) == n_syn  # (b)
                 assert train.minority_count + n_syn == train.majority_count
-                if res.provenance is not None:  # (a)
-                    assert len(np.setdiff1d(res.provenance, train_ids)) == 0
+                assert len(np.setdiff1d(res.provenance, train_ids)) == 0  # (a)
                 checked += 1
 
     # (c) on the toy plan and on the full-run fold indices

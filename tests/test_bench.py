@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import os
 import re
@@ -233,9 +235,18 @@ class TestConfig:
                         "sep": ";"}],
           "oversamplers": ["repeater"], "classifiers": ["knn"]},
          r"datasets\[0\] has unknown key\(s\) \['sep'\]"),
+        ({"datasets": [], "oversamplers": None, "classifiers": ["knn"]},
+         "oversamplers must be a list, got None"),
+        ({"datasets": [], "oversamplers": 5, "classifiers": ["knn"]},
+         "oversamplers must be a list, got 5"),
+        ({"datasets": [], "oversamplers": "repeater", "classifiers": ["knn"]},
+         "oversamplers must be a list, got 'repeater'"),
+        ({"datasets": [], "oversamplers": {"kind": "repeater"}, "classifiers": ["knn"]},
+         r"oversamplers must be a list, got \{'kind': 'repeater'\}"),
     ], ids=["dataset-without-label-column", "top-level-list", "oversampler-without-kind",
             "dataset-not-an-object", "classifier-not-an-object-or-string", "not-json",
-            "knn-k-zero", "list-kind", "int-name", "list-dataset-name", "dataset-unknown-key"])
+            "knn-k-zero", "list-kind", "int-name", "list-dataset-name", "dataset-unknown-key",
+            "null-list", "number-list", "string-list", "object-list"])
     def test_malformed_file_rejected_naming_the_file_and_entry(self, tmp_path, raw, pattern):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
@@ -674,6 +685,20 @@ class TestRendering:
         text = report_to_markdown(small_report[0])
         assert "## toy" in text
         assert text.count("**") == 2  # exactly one best cell in the single row
+
+    def test_failed_cell_without_stats_renders(self):
+        report = {"cells": [{"dataset": "d", "oversampler": "o", "classifier": "c",
+                             "status": "failed"}]}
+        assert report_to_csv(report).splitlines()[1] == "d,o,c,failed,,,,"
+        assert report_to_markdown(report).splitlines()[4] == "| c | failed |"
+
+    @pytest.mark.parametrize("name", ["abalone, 9-18", 'the "yeast" set'])
+    def test_csv_quotes_a_name_with_a_comma_or_quote(self, name):
+        cell = {"dataset": name, "oversampler": "o", "classifier": "c", "status": "ok",
+                "f1_mean": 0.5, "f1_std": 0.0, "kappa_mean": 0.25, "kappa_std": 0.0}
+        header, row = csv.reader(io.StringIO(report_to_csv({"cells": [cell]})))
+        assert len(header) == len(row) == 8
+        assert row[:2] == [name, "o"] and row[4] == "0.500000"
 
     def test_emit_report_writes_files(self, small_report, tmp_path):
         report, timings = small_report

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,10 +34,6 @@ def latin1_header(path):
         data = fh.read()
     with open(path, "wb") as fh:
         fh.write(b"caf\xe9" + data[1:])
-
-
-BAD_CELLS = ("r.json: report cells must be objects holding string dataset, oversampler, "
-             "classifier, status and all or none of f1_mean, f1_std, kappa_mean, kappa_std")
 
 
 def nan_first_cell(path):
@@ -138,8 +136,11 @@ class TestRunCommand:
          "toy.csv: not UTF-8 text: cannot decode byte 0xe9"),
         (lambda cfg: nan_first_cell(cfg["datasets"][0]["path"]),
          "toy.csv:2: non-finite value 'nan' in column 'x'"),
+        (lambda cfg: cfg.update(n_folds=9),
+         "toy.csv: minority class (8) smaller than n_folds (9)"),
     ], ids=["empty-list", "bad-spec-key", "dataset-without-its-label-column",
-            "missing-dataset-file", "latin1-dataset-file", "nan-dataset-cell"])
+            "missing-dataset-file", "latin1-dataset-file", "nan-dataset-cell",
+            "more-folds-than-minority-rows"])
     def test_bad_config_is_a_one_line_usage_error(self, tmp_path, monkeypatch, edit, message):
         import convgen.bench as bench
 
@@ -243,80 +244,11 @@ class TestPcaCommand:
         assert_one_line_usage_error(result, f"{out}: cannot open: Not a directory")
 
 
-class TestReportCommand:
-    def test_rerender_markdown_and_csv(self, tmp_path):
-        csv_path = tmp_path / "toy.csv"
-        write_toy_csv(csv_path)
-        cfg_path = make_config(tmp_path, csv_path)
-        out_dir = tmp_path / "out"
-        runner = CliRunner()
-        runner.invoke(main, ["run", "--config", str(cfg_path), "--out", str(out_dir)])
-        raw = str(out_dir / "report.json")
-
-        md = runner.invoke(main, ["report", "--raw", raw])
-        assert md.exit_code == 0
-        assert md.output == (out_dir / "report.md").read_text()
-
-        csv_out = runner.invoke(main, ["report", "--raw", raw, "--format", "csv"])
-        assert csv_out.exit_code == 0
-        assert csv_out.output == (out_dir / "means.csv").read_text()
-
-    @pytest.mark.parametrize("content,message", [
-        (b'{"cells": [', "r.json: report is not JSON: Expecting value: line 1 column 12 (char 11)"),
-        (b'{"cells": [], "caf\xe9": 1}', "r.json: not UTF-8 text: cannot decode byte 0xe9"),
-        (None, "r.json: cannot open: Is a directory"),
-        (b'[{"cells": []}]', "r.json: report is a JSON list, not an object"),
-        (b'{"cells": [{"dataset": "d"}]}', BAD_CELLS),
-        (b'{"cells": {"dataset": "d"}}', BAD_CELLS),
-        (b'{"cell": []}', BAD_CELLS),
-        (b'{"cells": ["d"]}', BAD_CELLS),
-    ], ids=["not-json", "latin1", "directory", "list", "cell-without-oversampler",
-            "cells-not-a-list", "no-cells", "cell-not-an-object"])
-    def test_bad_report_file_is_a_one_line_usage_error(self, tmp_path, content, message):
-        raw = tmp_path / "r.json"
-        if content is None:
-            raw.mkdir()
-        else:
-            raw.write_bytes(content)
-        for fmt in ("md", "csv"):
-            result = CliRunner().invoke(main, ["report", "--raw", str(raw), "--format", fmt])
-            assert_one_line_usage_error(result, message)
-
-    @pytest.mark.parametrize("edit", [
-        lambda cell: cell.update(dataset=3),
-        lambda cell: cell.update(status=None),
-        lambda cell: cell.update(f1_mean="0.5"),
-        lambda cell: cell.pop("kappa_mean"),
-        lambda cell: cell.update(kappa_std=None),
-        lambda cell: cell.update(f1_mean=True),
-    ], ids=["int-dataset", "null-status", "string-stat", "stat-missing", "null-stat",
-            "bool-stat"])
-    def test_cell_the_renderers_cannot_read_is_refused(self, tmp_path, edit):
-        cell = {"dataset": "d", "oversampler": "o", "classifier": "c", "status": "ok",
-                "f1_mean": 0.5, "f1_std": 0.0, "kappa_mean": 0.25, "kappa_std": 0.0}
-        raw = tmp_path / "r.json"
-        raw.write_text(json.dumps({"cells": [cell]}), encoding="utf-8")
-        assert CliRunner().invoke(main, ["report", "--raw", str(raw)]).exit_code == 0
-        edit(cell)
-        raw.write_text(json.dumps({"cells": [cell]}), encoding="utf-8")
-        result = CliRunner().invoke(main, ["report", "--raw", str(raw), "--format", "csv"])
-        assert_one_line_usage_error(result, BAD_CELLS)
-
-    def test_failed_cell_without_stats_renders(self, tmp_path):
-        raw = tmp_path / "r.json"
-        raw.write_text(json.dumps({"cells": [{"dataset": "d", "oversampler": "o",
-                                              "classifier": "c", "status": "failed"}]}))
-        result = CliRunner().invoke(main, ["report", "--raw", str(raw), "--format", "csv"])
-        assert result.exit_code == 0, result.output
-        assert result.output.splitlines()[1] == "d,o,c,failed,,,,"
-
-
 @pytest.mark.parametrize("args", [
     ["run", "--config", "{nope}"],
     ["pca", "--dataset", "{nope}", "--synthetic", "{csv}"],
     ["pca", "--dataset", "{csv}", "--synthetic", "{nope}"],
-    ["report", "--raw", "{nope}"],
-], ids=["run-config", "pca-dataset", "pca-synthetic", "report-raw"])
+], ids=["run-config", "pca-dataset", "pca-synthetic"])
 def test_missing_input_file_is_a_one_line_usage_error(tmp_path, args):
     paths = {"nope": str(tmp_path / "nope.csv"), "csv": str(tmp_path / "toy.csv")}
     write_toy_csv(paths["csv"])
@@ -325,3 +257,9 @@ def test_missing_input_file_is_a_one_line_usage_error(tmp_path, args):
                        "--out", str(tmp_path / "p.csv")]
     result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
     assert_one_line_usage_error(result, f"{paths['nope']}: cannot open: No such file or directory")
+
+
+def test_readme_runs_only_real_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    shell = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
+    assert sorted(set(re.findall(r"^bench (\S+)", shell, re.M))) == sorted(main.commands)
