@@ -39,11 +39,7 @@ class DatasetSpec:
     name: str
 
     def load(self) -> Dataset:
-        ds = load_csv(self.path, self.label_column, self.minority_label, name=self.name)
-        if ds.minority_count > ds.majority_count:
-            raise DataError(f"{self.path}: minority_label {self.minority_label!r} names the "
-                            f"larger class ({ds.minority_count} rows against {ds.majority_count})")
-        return ds
+        return load_csv(self.path, self.label_column, self.minority_label, name=self.name)
 
 
 @dataclass(frozen=True)
@@ -139,6 +135,10 @@ class BenchmarkConfig:
                        if f.type == "str" and not isinstance(getattr(spec, f.name), str)]
                 if bad:
                     raise DataError(f"{key}[{i}] is malformed: non-string {', '.join(bad)}")
+                # timings.json joins names with "/" and report.md cells with "|"
+                if "/" in spec.name or "|" in spec.name or not spec.name.isprintable():
+                    raise DataError(f"{key}[{i}] name {spec.name!r} holds '/', '|' "
+                                    f"or an unprintable character")
             # report cells and per-fold scores are keyed by these names
             names = [spec.name for spec in getattr(self, key)]
             if not names:
@@ -153,11 +153,22 @@ class BenchmarkConfig:
                     raise DataError(f"{spec.kind} {spec.name!r} in {key}: {exc}") from None
 
     def load_datasets(self) -> dict[str, Dataset]:
-        """Every dataset by name; one whose minority class cannot fill n_folds is refused."""
-        datasets = {spec.name: spec.load() for spec in self.datasets}
+        """Every dataset by name, loaded and passed through `check_datasets`."""
+        return self.check_datasets({spec.name: spec.load() for spec in self.datasets})
+
+    def check_datasets(self, datasets: dict[str, Dataset]) -> dict[str, Dataset]:
+        """`datasets` if it holds the config's datasets, each keyed by its name, with a
+        minority class no larger than its majority and of at least n_folds rows."""
+        names = [spec.name for spec in self.datasets]
+        if (given := {key: ds.name for key, ds in datasets.items()}) != dict(zip(names, names)):
+            raise DataError(f"datasets must be the config's {names} keyed by name, got {given}")
         for spec in self.datasets:
-            if (count := datasets[spec.name].minority_count) < self.n_folds:
-                raise DataError(f"{spec.path}: minority class ({count}) smaller than "
+            n_min, n_maj = datasets[spec.name].minority_count, datasets[spec.name].majority_count
+            if n_min > n_maj:
+                raise DataError(f"{spec.path}: minority_label {spec.minority_label!r} names the "
+                                f"larger class ({n_min} rows against {n_maj})")
+            if n_min < self.n_folds:
+                raise DataError(f"{spec.path}: minority class ({n_min}) smaller than "
                                 f"n_folds ({self.n_folds})")
         return datasets
 
@@ -239,15 +250,17 @@ def make_classifier(spec: Spec, fold_result: FoldResult):
     raise DataError(f"unknown classifier kind {spec.kind!r}")
 
 
-def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
-             oversampler: Spec, shuffle: int, fold: int) -> dict:
-    """One (oversampler, shuffle, fold) unit: returns per-classifier scores.
+def fold_plan(cfg: BenchmarkConfig, dataset: Dataset) -> FoldPlan:
+    """The grid's folds of `dataset`, seeded by the master seed and its name."""
+    return stratified_kfold(dataset, cfg.n_folds, cfg.n_shuffles,
+                            derive_seed(cfg.seed, "folds", dataset.name))
 
-    Also performs the protocol checks: provenance stays inside the training
-    fold and the rebalanced training set has exactly equal classes.
-    """
+
+def audited_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
+                 oversampler: Spec, shuffle: int, fold: int) -> tuple[Dataset, FoldResult]:
+    """The training fold and what the oversampler made from it, after the protocol
+    checks: provenance stays inside the training fold and classes balance exactly."""
     train_ids = plan.train_indices(shuffle, fold)
-    test_ids = plan.test_indices(shuffle, fold)
     train = dataset.subset(train_ids)
     n_synthetic = train.majority_count - train.minority_count
     seed = derive_seed(cfg.seed, dataset.name, oversampler.name, shuffle, fold)
@@ -267,9 +280,17 @@ def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
         raise DataError(
             f"expected {n_synthetic} synthetic rows, got {len(result.synthetic)}"
         )
+    return train, result
 
+
+def run_fold(cfg: BenchmarkConfig, dataset: Dataset, plan: FoldPlan,
+             oversampler: Spec, shuffle: int, fold: int) -> dict:
+    """One (oversampler, shuffle, fold) unit: `audited_fold`, then
+    per-classifier scores on the held-out fold."""
+    train, result = audited_fold(cfg, dataset, plan, oversampler, shuffle, fold)
+    test_ids = plan.test_indices(shuffle, fold)
     full_features = np.vstack([train.features, result.synthetic])
-    full_labels = np.concatenate([train.labels, np.ones(n_synthetic, dtype=int)])
+    full_labels = np.concatenate([train.labels, np.ones(len(result.synthetic), dtype=int)])
     test_features = dataset.features[test_ids]
     test_labels = dataset.labels[test_ids]
 
@@ -346,21 +367,19 @@ def _worker_pool(jobs: int):
                 os.environ[var] = value
 
 
-def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1,
-                  progress=None) -> tuple[dict, dict]:
+def run_benchmark(cfg: BenchmarkConfig, jobs: int = 1, progress=None,
+                  datasets: dict[str, Dataset] | None = None) -> tuple[dict, dict]:
     """Run the full grid; returns (report, timings).
 
     The report is deterministic under cfg.seed; timings are wall-clock
     seconds and vary run to run. jobs > 1 runs the (dataset, oversampler,
     shuffle) units in that many worker processes (see _worker_pool), with
-    the same report bytes as a serial run.
+    the same report bytes as a serial run. `datasets` defaults to
+    `cfg.load_datasets()`; given ones pass `cfg.check_datasets`, and their
+    specs' `path`, recorded in the report, is then only a label.
     """
-    datasets = cfg.load_datasets()
-    plans = {
-        name: stratified_kfold(ds, cfg.n_folds, cfg.n_shuffles,
-                               derive_seed(cfg.seed, "folds", name))
-        for name, ds in datasets.items()
-    }
+    datasets = cfg.load_datasets() if datasets is None else cfg.check_datasets(datasets)
+    plans = {name: fold_plan(cfg, ds) for name, ds in datasets.items()}
     fold_indices = {
         name: {
             str(s): {

@@ -1,4 +1,4 @@
-"""Command line front end: `bench run`, `bench pca`."""
+"""Command line front end: `bench run` runs a config's grid, `bench pca` projects one fold."""
 
 from __future__ import annotations
 
@@ -7,8 +7,8 @@ import sys
 
 import click
 
-from .bench import BenchmarkConfig, emit_report, run_benchmark
-from .data import DataError, load_csv, load_synthetic_csv, make_dir, open_text
+from .bench import BenchmarkConfig, audited_fold, emit_report, fold_plan, run_benchmark
+from .data import DataError, make_dir, open_text
 from .pca import pca_project
 
 
@@ -42,9 +42,9 @@ def run(config_path, out_dir, seed, jobs) -> None:
         click.echo(f"  {ds} / {ovs} / shuffle {shuffle}: {seconds:.1f}s")
 
     cfg = BenchmarkConfig.from_json(config_path, seed_override=seed)
-    cfg.load_datasets()  # a bad dataset must not leave an `out` directory behind
+    datasets = cfg.load_datasets()  # a bad dataset must not leave an `out` directory behind
     make_dir(out_dir)  # before the grid runs, so an `out` that cannot be made loses no work
-    report, timings = run_benchmark(cfg, jobs=jobs, progress=progress)
+    report, timings = run_benchmark(cfg, jobs=jobs, progress=progress, datasets=datasets)
     paths = emit_report(report, timings, out_dir)
     failed = [c for c in report["cells"] if c["status"] != "ok"]
     click.echo(f"wrote {paths['raw']}")
@@ -53,19 +53,28 @@ def run(config_path, out_dir, seed, jobs) -> None:
         sys.exit(1)
 
 
+def _named(config_path, specs, name: str, what: str):
+    """The entry called `name` in `specs`, a list of the config at `config_path`."""
+    by_name = {spec.name: spec for spec in specs}
+    if name not in by_name:
+        raise DataError(f"{config_path}: no {what} named {name!r}; choose from {list(by_name)}")
+    return by_name[name]
+
+
 @main.command()
-@click.option("--dataset", "dataset_path", required=True)
-@click.option("--label-col", required=True, help="Name of the label column.")
-@click.option("--minority-label", required=True, help="Label value of the minority class.")
-@click.option("--synthetic", "synthetic_path", required=True,
-              help="CSV of synthetic rows (feature columns only).")
+@click.option("--config", "config_path", required=True, help="JSON benchmark configuration.")
+@click.option("--dataset", "dataset_name", required=True, help="A config dataset.")
+@click.option("--oversampler", "oversampler_name", required=True, help="A config oversampler.")
 @click.option("--out", "out_path", required=True, help="Destination CSV of (set,x,y).")
-def pca(dataset_path, label_col, minority_label, synthetic_path, out_path) -> None:
-    """Project real and synthetic rows onto the real data's top-2 PCA axes."""
-    dataset = load_csv(dataset_path, label_col, minority_label)
-    synthetic = load_synthetic_csv(synthetic_path, dataset.n_features)
-    projection = pca_project(dataset.features, synthetic)
-    rows = [("real", p) for p in projection.real] + [("synthetic", p) for p in projection.synthetic]
+def pca(config_path, dataset_name, oversampler_name, out_path) -> None:
+    """Project shuffle 0, fold 0 of the grid onto its training rows' top-2 PCA axes."""
+    cfg = BenchmarkConfig.from_json(config_path)
+    oversampler = _named(config_path, cfg.oversamplers, oversampler_name, "oversampler")
+    dataset = _named(config_path, cfg.load_datasets().values(), dataset_name, "dataset")
+    train, result = audited_fold(cfg, dataset, fold_plan(cfg, dataset), oversampler, 0, 0)
+    projection = pca_project(train.features, result.synthetic)
+    rows = [("minority" if y else "majority", p) for y, p in zip(train.labels, projection.real)]
+    rows += [("synthetic", p) for p in projection.synthetic]
     text = "set,x,y\n" + "".join(f"{tag},{float(x)!r},{float(y)!r}\n" for tag, (x, y) in rows)
     with open_text(out_path, "w") as fh:
         fh.write(text)

@@ -153,12 +153,12 @@ def _lines(reader):
         start = reader.line_num + 1
 
 
-def _numeric_rows(path, rows, columns, label_idx=None) -> tuple[np.ndarray, list]:
-    """(lineno, row) pairs of numeric CSV cells, blank rows skipped, as a
-    (rows, len(columns)) float64 array, plus each row's cell at `label_idx`
-    if given. A fault names the first faulty line: a row of the wrong length
-    (it ends the pass) or a cell that is not a finite number, with its column."""
-    width = len(columns) + (label_idx is not None)
+def _numeric_rows(path, rows, columns, label_idx) -> tuple[np.ndarray, list]:
+    """(lineno, row) pairs of CSV cells, blank rows skipped, as a
+    (rows, len(columns)) float64 array of the numeric cells, plus each row's
+    cell at `label_idx`. A fault names the first faulty line: a row of the wrong
+    length (it ends the pass) or a cell that is not a finite number, with its column."""
+    width = len(columns) + 1
     cells, labels, linenos, bad_length = [], [], [], None
     for lineno, row in rows:
         if not row:
@@ -166,8 +166,7 @@ def _numeric_rows(path, rows, columns, label_idx=None) -> tuple[np.ndarray, list
         if len(row) != width:
             bad_length = f"{path}:{lineno}: expected {width} cells, got {len(row)}"
             break
-        if label_idx is not None:
-            labels.append(row.pop(label_idx))
+        labels.append(row.pop(label_idx))
         cells += row
         linenos.append(lineno)
     try:
@@ -211,24 +210,6 @@ def load_csv(path, label_column: str, minority_label: str, name: str = "") -> Da
     if label_arr.min() == label_arr.max():
         raise DataError(f"{path}: only one class present (minority_label={minority_label!r})")
     return Dataset(features, label_arr, name or str(path))
-
-
-def load_synthetic_csv(path, n_features: int) -> np.ndarray:
-    """Synthetic minority rows of `n_features` cells and no label, read like a
-    dataset. A first row with a non-numeric cell is a header naming the
-    columns; without one, a fault names a column by its position from 1."""
-    with open_text(path, newline="") as fh:
-        rows = [(lineno, row) for lineno, row in _lines(csv.reader(fh)) if row]
-    columns = [str(i) for i in range(1, n_features + 1)]
-    if rows and len(rows[0][1]) == n_features:
-        try:
-            np.array(rows[0][1], dtype=np.float64)
-        except ValueError:
-            columns = rows.pop(0)[1]
-    features, _ = _numeric_rows(path, rows, columns)
-    if not len(features):
-        raise DataError(f"{path}: no synthetic rows")
-    return features
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from convgen.baselines import Gan, interpolation_sample, repeater_sample
-from convgen.data import DataError, load_synthetic_csv
+from convgen.data import DataError
 from conftest import two_blob_dataset
 
 
@@ -212,65 +212,3 @@ class TestAlphaScaling:
         for value in scaled.reshape(-1):
             assert -1.0 <= value <= 1.0
         assert np.max(np.abs(scaled)) <= 1.0 / 1.1 + 1e-12
-
-
-class TestSyntheticCsv:
-    def test_with_and_without_header(self, tmp_path):
-        plain = tmp_path / "plain.csv"
-        plain.write_text("1.0,2.0\n3.0,4.0\n", encoding="utf-8")
-        assert load_synthetic_csv(plain, 2).shape == (2, 2)
-        headed = tmp_path / "headed.csv"
-        headed.write_text("a,b\n1.0,2.0\n", encoding="utf-8")
-        assert load_synthetic_csv(headed, 2).shape == (1, 2)
-
-    def test_numeric_first_line_is_data_not_a_header(self, tmp_path):
-        short = tmp_path / "short.csv"
-        short.write_text("1,2,3\n4,5,6,7\n8,9,10,11\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"short\.csv:1: expected 4 cells, got 3"):
-            load_synthetic_csv(short, 4)
-
-    def test_errors_name_the_files_own_line(self, tmp_path):
-        gappy = tmp_path / "gappy.csv"
-        gappy.write_text("\n1,2\n\n3,4\n\nx,5\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"gappy\.csv:6: non-numeric value 'x' in column '1'"):
-            load_synthetic_csv(gappy, 2)
-        # the first non-blank line is the one that may be a header
-        gappy.write_text("\n\na,b\n1,2\n", encoding="utf-8")
-        np.testing.assert_array_equal(load_synthetic_csv(gappy, 2), [[1.0, 2.0]])
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    def test_non_finite_cell_rejected(self, tmp_path, cell):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(f"1.0,2.0\n{cell},2\n", encoding="utf-8")
-        with pytest.raises(DataError, match=rf"bad\.csv:2: non-finite value '{cell}' in column '1'"):
-            load_synthetic_csv(bad, 2)
-
-    def test_wrong_width_rejected(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1.0,2.0,3.0\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"bad\.csv:1: expected 2 cells, got 3"):
-            load_synthetic_csv(bad, 2)
-
-    def test_quoted_cells_load_as_in_a_dataset(self, tmp_path):
-        quoted = tmp_path / "quoted.csv"
-        quoted.write_text('"a","b"\n"1.5",2\n3,"-4e2"\n', encoding="utf-8")
-        np.testing.assert_array_equal(load_synthetic_csv(quoted, 2), [[1.5, 2.0], [3.0, -400.0]])
-
-    def test_header_names_the_faulty_column(self, tmp_path):
-        headed = tmp_path / "headed.csv"
-        headed.write_text("a,b\n1,2\n3,inf\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"headed\.csv:3: non-finite value 'inf' in column 'b'"):
-            load_synthetic_csv(headed, 2)
-
-    def test_header_of_the_wrong_width_rejected(self, tmp_path):
-        headed = tmp_path / "headed.csv"
-        headed.write_text("a,b,c\n1,2\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"headed\.csv:1: expected 2 cells, got 3"):
-            load_synthetic_csv(headed, 2)
-
-    @pytest.mark.parametrize("text", ["", "\n\n", "a,b\n"], ids=["empty", "blank", "header-only"])
-    def test_file_without_rows_rejected(self, tmp_path, text):
-        empty = tmp_path / "empty.csv"
-        empty.write_text(text, encoding="utf-8")
-        with pytest.raises(DataError, match=r"empty\.csv: no synthetic rows"):
-            load_synthetic_csv(empty, 2)

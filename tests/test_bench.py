@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,21 @@ class TestConfig:
         with pytest.raises(DataError, match=r"datasets\[0\] is malformed: non-string "
                                             r"name=\['a'\]"):
             build_config(dataset_name=["a"])
+
+    @pytest.mark.parametrize("key,name", [
+        ("datasets", "a/b"), ("oversamplers", "b/c"), ("classifiers", "c/knn"),
+        ("datasets", "a|b"), ("oversamplers", "b|c"), ("classifiers", "c|knn"),
+        ("datasets", "a\rb"), ("oversamplers", "b\nc"), ("classifiers", "c\tknn"),
+        ("datasets", "a\x00b"), ("oversamplers", "b\u2028c"),
+    ])
+    def test_name_that_would_break_a_report_file_rejected(self, build_config, key, name):
+        # timings.json keys join names with "/", and report.md cells are split by "|"
+        entry = {"datasets": {"dataset_name": name},
+                 "oversamplers": {"oversampler": Spec(name, "repeater")},
+                 "classifiers": {"classifier": Spec(name, "knn")}}[key]
+        with pytest.raises(DataError, match=re.escape(
+                f"{key}[0] name {name!r} holds '/', '|' or an unprintable character")):
+            build_config(**entry)
 
     def test_env_seed_override(self, tmp_path, toy_csv):
         cfg_path = tmp_path / "cfg.json"
@@ -616,11 +632,42 @@ class TestRunBenchmark:
                 f"{toy_csv}: minority_label 'neg' names the larger class (40 rows against 8)")):
             run_benchmark(cfg)
         assert not ran
-        # library loads (and `bench pca`) take either class; equal classes pass the check
+        # library loads take either class; equal classes pass the check
         assert load_csv(toy_csv, "cls", "neg").minority_count == 40
         even = tmp_path / "even.csv"
         write_toy_csv(even, n_majority=8, n_minority=8)
-        assert DatasetSpec(str(even), "cls", "neg", "even").load().minority_count == 8
+        cfg = replace(cfg, datasets=(DatasetSpec(str(even), "cls", "neg", "even"),))
+        assert cfg.load_datasets()["even"].minority_count == 8
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_given_datasets_give_the_loaded_bytes(self, toy_csv, monkeypatch, jobs):
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater"), Spec("ip", "interpolation")],
+                         [Spec("knn", "knn")])
+        loaded = dump_report(run_benchmark(cfg, jobs=jobs)[0])
+        datasets = cfg.load_datasets()
+        monkeypatch.setattr(DatasetSpec, "load", lambda spec: pytest.fail("loaded again"))
+        assert dump_report(run_benchmark(cfg, jobs=jobs, datasets=datasets)[0]) == loaded
+
+    @pytest.mark.parametrize("given,message", [
+        (lambda ds: {"other": ds},
+         "datasets must be the config's ['toy'] keyed by name, got {'other': 'toy'}"),
+        (lambda ds: {"toy": Dataset(ds.features, ds.labels, "other")},
+         "datasets must be the config's ['toy'] keyed by name, got {'toy': 'other'}"),
+        (lambda ds: {},
+         "datasets must be the config's ['toy'] keyed by name, got {}"),
+        (lambda ds: {"toy": Dataset(ds.features, 1 - ds.labels, "toy")},
+         "toy.csv: minority_label 'pos' names the larger class (40 rows against 8)"),
+        (lambda ds: {"toy": ds.subset(np.append(ds.majority_indices, ds.minority_indices[0]))},
+         "toy.csv: minority class (1) smaller than n_folds (2)"),
+    ], ids=["wrong-key", "wrong-name", "missing", "larger-minority", "too-few-minority-rows"])
+    def test_given_datasets_pass_the_load_checks(self, toy_csv, monkeypatch, given, message):
+        import convgen.bench as bench
+
+        monkeypatch.setattr(bench, "run_fold", lambda *args: pytest.fail("a fold ran"))
+        cfg = toy_config(toy_csv, [Spec("rep", "repeater")], [Spec("knn", "knn")])
+        datasets = given(cfg.load_datasets()["toy"])
+        with pytest.raises(DataError, match=re.escape(message)):
+            run_benchmark(cfg, datasets=datasets)
 
     def test_raw_dump_is_deterministic(self, toy_csv):
         cfg = toy_config(toy_csv, [Spec("rep", "repeater")],

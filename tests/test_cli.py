@@ -1,14 +1,15 @@
 import json
 import os
 import re
+import shlex
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import convgen.cli as cli
 from convgen.cli import main
+from convgen.pca import pca_project
 
 from test_bench import write_toy_csv
 
@@ -79,6 +80,24 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert "failed" in result.output
 
+    def test_each_dataset_loads_once(self, tmp_path, monkeypatch):
+        import convgen.bench as bench
+
+        loaded = []
+        load = bench.DatasetSpec.load
+        monkeypatch.setattr(bench.DatasetSpec, "load",
+                            lambda spec: loaded.append(spec.name) or load(spec))
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        cfg_path = make_config(tmp_path, csv_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["datasets"].append({**cfg["datasets"][0], "name": "toy2"})
+        cfg_path.write_text(json.dumps(cfg))
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg_path),
+                                           "--out", str(tmp_path / "out"), "--jobs", "1"])
+        assert result.exit_code == 0, result.output
+        assert loaded == ["toy", "toy2"]
+
     def test_seed_flag_changes_report(self, tmp_path):
         csv_path = tmp_path / "toy.csv"
         write_toy_csv(csv_path)
@@ -98,7 +117,7 @@ class TestRunCommand:
     def test_jobs_default_to_the_usable_cpus(self, tmp_path, monkeypatch, flag, expected):
         seen = []
 
-        def no_run(cfg, jobs, progress):
+        def no_run(cfg, jobs, progress, datasets):
             seen.append(jobs)
             raise SystemExit(0)
 
@@ -112,7 +131,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_rejected(self, tmp_path, monkeypatch, jobs):
-        def no_run(cfg, jobs, progress):
+        def no_run(cfg, jobs, progress, datasets):
             raise AssertionError("the benchmark ran")
 
         monkeypatch.setattr(cli, "run_benchmark", no_run)
@@ -189,77 +208,109 @@ class TestRunCommand:
         assert ran == []
 
 
+def pca_args(cfg_path, out, dataset="toy", oversampler="repeater"):
+    return ["pca", "--config", str(cfg_path), "--dataset", dataset,
+            "--oversampler", oversampler, "--out", str(out)]
+
+
 class TestPcaCommand:
     def test_projection_csv(self, tmp_path):
         csv_path = tmp_path / "toy.csv"
         ds = write_toy_csv(csv_path)
-        syn = tmp_path / "syn.csv"
-        rng = np.random.default_rng(0)
-        rows = rng.normal(size=(7, 2))
-        syn.write_text("\n".join(f"{float(a)!r},{float(b)!r}" for a, b in rows) + "\n")
         out = tmp_path / "proj.csv"
-        result = CliRunner().invoke(main, [
-            "pca", "--dataset", str(csv_path), "--label-col", "cls",
-            "--minority-label", "pos", "--synthetic", str(syn), "--out", str(out),
-        ])
+        result = CliRunner().invoke(main, pca_args(make_config(tmp_path, csv_path), out))
         assert result.exit_code == 0, result.output
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "set,x,y"
-        assert len(lines) == 1 + ds.n_samples + 7
-        tags = {line.split(",")[0] for line in lines[1:]}
-        assert tags == {"real", "synthetic"}
+        tags = [line.split(",")[0] for line in lines[1:]]
+        # the training fold of two holds half of each class; synthetic rows balance it
+        counts = {tag: tags.count(tag) for tag in tags}
+        assert counts == {"minority": ds.minority_count // 2, "majority": ds.majority_count // 2,
+                          "synthetic": (ds.majority_count - ds.minority_count) // 2}
+        assert set(tags[-counts["synthetic"]:]) == {"synthetic"}  # after the training rows
         # every coordinate round-trips through float()
         for line in lines[1:]:
             _, x, y = line.split(",")
             float(x), float(y)
 
-    @pytest.mark.parametrize("edit,synthetic,message", [
-        (nan_first_cell, "1,2\n", "toy.csv:2: non-finite value 'nan' in column 'x'"),
-        (lambda path: None, "a,b\n1,2\n3,4,5\n", "syn.csv:3: expected 2 cells, got 3"),
-    ], ids=["nan-dataset-cell", "wrong-width-synthetic-row"])
-    def test_bad_input_file_is_a_one_line_usage_error(self, tmp_path, edit, synthetic, message):
+    @pytest.mark.parametrize("oversampler", [
+        {"kind": "repeater"}, {"kind": "interpolation"}, {"kind": "gan", "epochs": 2},
+        {"kind": "convgen", "neb": 5, "neb_epochs": 1},
+    ], ids=lambda entry: entry["kind"])
+    def test_synthetic_rows_replay_the_grid_fold(self, tmp_path, monkeypatch, oversampler):
+        import convgen.bench as bench
+
         csv_path = tmp_path / "toy.csv"
         write_toy_csv(csv_path)
-        edit(csv_path)
-        syn = tmp_path / "syn.csv"
-        syn.write_text(synthetic, encoding="utf-8")
+        cfg_path = make_config(tmp_path, csv_path, oversamplers=[oversampler])
+        calls = []
+        oversample_fold = bench.oversample_fold
+
+        def spy(spec, train, *args):
+            calls.append((train, oversample_fold(spec, train, *args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(bench, "oversample_fold", spy)
+        bench.run_benchmark(bench.BenchmarkConfig.from_json(cfg_path))
+        train, captured = calls[0]  # the grid runs shuffle 0, fold 0 first
         out = tmp_path / "proj.csv"
-        result = CliRunner().invoke(main, [
-            "pca", "--dataset", str(csv_path), "--label-col", "cls",
-            "--minority-label", "pos", "--synthetic", str(syn), "--out", str(out),
-        ])
+        result = CliRunner().invoke(main, pca_args(cfg_path, out, oversampler=oversampler["kind"]))
+        assert result.exit_code == 0, result.output
+        written = [line.split(",", 1)[1] for line in out.read_text().splitlines()
+                   if line.startswith("synthetic,")]
+        expected = pca_project(train.features, captured.synthetic).synthetic
+        assert len(expected) > 0
+        assert written == [f"{float(x)!r},{float(y)!r}" for x, y in expected]
+
+    @pytest.mark.parametrize("edit,names,message", [
+        (lambda cfg: nan_first_cell(cfg["datasets"][0]["path"]), {},
+         "toy.csv:2: non-finite value 'nan' in column 'x'"),
+        (lambda cfg: None, {"dataset": "yeast"},
+         "config.json: no dataset named 'yeast'; choose from ['toy']"),
+        (lambda cfg: None, {"oversampler": "smote"},
+         "config.json: no oversampler named 'smote'; choose from ['repeater']"),
+        (lambda cfg: cfg["datasets"][0].update(minority_label="neg"), {},
+         "toy.csv: minority_label 'neg' names the larger class (40 rows against 8)"),
+    ], ids=["nan-dataset-cell", "unknown-dataset", "unknown-oversampler", "larger-class"])
+    def test_bad_input_file_is_a_one_line_usage_error(self, tmp_path, edit, names, message):
+        csv_path = tmp_path / "toy.csv"
+        write_toy_csv(csv_path)
+        cfg_path = make_config(tmp_path, csv_path)
+        cfg = json.loads(cfg_path.read_text())
+        edit(cfg)
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "proj.csv"
+        result = CliRunner().invoke(main, pca_args(cfg_path, out, **names))
         assert_one_line_usage_error(result, message)
         assert not out.exists()
 
     def test_out_under_a_regular_file_is_a_one_line_usage_error(self, tmp_path):
         csv_path = tmp_path / "toy.csv"
         write_toy_csv(csv_path)
-        syn = tmp_path / "syn.csv"
-        syn.write_text("1,2\n", encoding="utf-8")
         out = csv_path / "x.csv"
-        result = CliRunner().invoke(main, [
-            "pca", "--dataset", str(csv_path), "--label-col", "cls",
-            "--minority-label", "pos", "--synthetic", str(syn), "--out", str(out),
-        ])
+        result = CliRunner().invoke(main, pca_args(make_config(tmp_path, csv_path), out))
         assert_one_line_usage_error(result, f"{out}: cannot open: Not a directory")
 
 
-@pytest.mark.parametrize("args", [
-    ["run", "--config", "{nope}"],
-    ["pca", "--dataset", "{nope}", "--synthetic", "{csv}"],
-    ["pca", "--dataset", "{csv}", "--synthetic", "{nope}"],
-], ids=["run-config", "pca-dataset", "pca-synthetic"])
-def test_missing_input_file_is_a_one_line_usage_error(tmp_path, args):
-    paths = {"nope": str(tmp_path / "nope.csv"), "csv": str(tmp_path / "toy.csv")}
+@pytest.mark.parametrize("args,dataset", [
+    (["run", "--config", "{nope}"], "{csv}"),
+    (pca_args("{nope}", "{out}"), "{csv}"),
+    (pca_args("{cfg}", "{out}"), "{nope}"),
+], ids=["run-config", "pca-config", "pca-dataset"])
+def test_missing_input_file_is_a_one_line_usage_error(tmp_path, args, dataset):
+    paths = {"nope": str(tmp_path / "nope.csv"), "csv": str(tmp_path / "toy.csv"),
+             "out": str(tmp_path / "p.csv")}
     write_toy_csv(paths["csv"])
-    if args[0] == "pca":
-        args = args + ["--label-col", "cls", "--minority-label", "pos",
-                       "--out", str(tmp_path / "p.csv")]
+    paths["cfg"] = str(make_config(tmp_path, dataset.format(**paths)))
     result = CliRunner().invoke(main, [arg.format(**paths) for arg in args])
     assert_one_line_usage_error(result, f"{paths['nope']}: cannot open: No such file or directory")
 
 
 def test_readme_runs_only_real_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    shell = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S))
-    assert sorted(set(re.findall(r"^bench (\S+)", shell, re.M))) == sorted(main.commands)
+    shell = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True)
+                for line in re.findall(r"^bench (.*)", shell, re.M)]
+    assert sorted({args[0] for args in commands}) == sorted(main.commands)
+    for args in commands:  # each line's options parse; nothing runs
+        main.commands[args[0]].make_context(args[0], args[1:])

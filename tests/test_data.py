@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import convgen
 from convgen.baselines import Gan
-from convgen.data import (DataError, Dataset, load_csv, load_json_object, load_synthetic_csv,
-                          open_text, stratified_kfold)
+from convgen.data import DataError, Dataset, load_csv, load_json_object, open_text, stratified_kfold
 from convgen.rng import MASK64, shuffle, splitmix64
 
 from conftest import reference_shuffle
@@ -78,10 +77,18 @@ class TestLoadCsv:
         ds = load_csv(path, "y", "1")
         assert ds.features[:, 0].tolist() == [1.0, 2.0, 3.0]
         assert ds.labels.tolist() == [1, 0, 0]
+        # a fault after skipped blank lines names the file's own line
+        path = write_csv(tmp_path / "b.csv", "a,y\n1,1\n\n2,0\n\nx,0\n")
+        with pytest.raises(DataError, match=r"b\.csv:6: non-numeric value 'x' in column 'a'"):
+            load_csv(path, "y", "1")
 
     def test_header_only_file_has_no_data_rows(self, tmp_path):
-        path = write_csv(tmp_path / "h.csv", "a,b,y\n")
-        with pytest.raises(DataError, match="no data rows"):
+        for text in ("a,b,y\n", "a,b,y\n\n\n"):
+            path = write_csv(tmp_path / "h.csv", text)
+            with pytest.raises(DataError, match=r"h\.csv: no data rows"):
+                load_csv(path, "y", "1")
+        path = write_csv(tmp_path / "h.csv", "")
+        with pytest.raises(DataError, match=r"h\.csv: empty file"):
             load_csv(path, "y", "1")
 
     def test_label_column_in_the_middle(self, tmp_path):
@@ -104,9 +111,10 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "ml.csv", 'a,b,cls\n"1\n",2,pos\n3,4,neg\n5,x,neg\n')
         with pytest.raises(DataError, match=r"ml\.csv:5: non-numeric value 'x' in column 'b'"):
             load_csv(path, "cls", "pos")
-        path = write_csv(tmp_path / "mls.csv", '"1\n",2\n5,x\n')
-        with pytest.raises(DataError, match=r"mls\.csv:3: non-numeric value 'x' in column '2'"):
-            load_synthetic_csv(path, 2)
+        # a row longer than the header is as faulty as a shorter one
+        path = write_csv(tmp_path / "w.csv", "a,y\n1,1\n2,0,3\n")
+        with pytest.raises(DataError, match=r"w\.csv:3: expected 2 cells, got 3"):
+            load_csv(path, "y", "1")
 
     def test_missing_file_names_the_path(self, tmp_path):
         path = str(tmp_path / "nope.csv")
